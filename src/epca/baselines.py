@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, top_eigenpairs
+from .core import DataMatrix, check_rank, top_eigenpairs
 from .errors import DimensionError, ValidationError
 from .solver import _alternate
 
@@ -41,12 +41,10 @@ class BaselineModel:
 def fit_classical_pca(X: DataMatrix, c: int) -> BaselineModel:
     """Mean-centered PCA: top-c eigenvectors of the centered scatter matrix."""
     X = X if isinstance(X, DataMatrix) else DataMatrix(X)
-    d = X.feature_count
-    if not (1 <= c < d):
-        raise DimensionError(f"need 1 <= c < d={d}, got c={c}")
+    c = check_rank(c, X.feature_count - 1)
     m = X.values.mean(axis=1)
     Xc = X.values - m[:, None]
-    _, W = top_eigenpairs(Xc @ Xc.T, c)
+    _, W = top_eigenpairs(Xc, c, np.ones(X.sample_count))
     return BaselineModel(W, m, "classical_pca")
 
 
@@ -61,9 +59,7 @@ def fit_pca_om(X: DataMatrix, c: int, tol: float = 1e-8, max_iter: int = 100,
     rely on.
     """
     X = X if isinstance(X, DataMatrix) else DataMatrix(X)
-    d = X.feature_count
-    if not (1 <= c < d):
-        raise DimensionError(f"need 1 <= c < d={d}, got c={c}")
+    c = check_rank(c, X.feature_count - 1)
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValidationError("sigma must be a positive finite real")
     out = _alternate(X.values, c, sigma, tol, max_iter, learn_alpha=False)

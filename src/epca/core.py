@@ -3,6 +3,7 @@ symmetric eigendecomposition used by every subspace method in the package."""
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass, field
 
@@ -11,6 +12,7 @@ import numpy as np
 from .errors import DegenerateWeightsError, DimensionError, ValidationError
 
 _SYMMETRY_RTOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -88,12 +90,44 @@ class RngHandle:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def top_eigenpairs(S: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenpairs of a symmetric matrix under a fixed gauge.
+def as_integer(value, name: str) -> int:
+    """``value`` as a Python int; any integer type (numpy's too) is accepted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_rank(c, limit: int) -> int:
+    """Validate a target rank: an integer with ``1 <= c <= limit``."""
+    c = as_integer(c, "rank c")
+    if not 1 <= c <= limit:
+        raise DimensionError(f"need 1 <= c <= {limit}, got c={c}")
+    return c
+
+
+def top_eigenpairs(A: np.ndarray, c: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenpairs of a symmetric matrix or a weighted scatter, under a fixed gauge.
 
     Returns ``(eigenvalues, eigenvectors)`` with the c largest eigenvalues in
     descending order and eigenvectors as the columns of a d-by-c orthonormal
-    matrix.  The gauge convention makes the output reproducible:
+    matrix.  There are two forms:
+
+    * ``weights=None``: ``A`` is a symmetric d-by-d matrix, decomposed by a
+      full ``eigh``.
+    * ``weights=eta``: ``A`` is a d-by-n matrix (the solvers pass centred
+      data) and ``eta`` holds n nonnegative weights; the eigenpairs are those
+      of the scatter ``(A * eta) @ A.T``.  When ``c < n < d`` they are the
+      left singular vectors of ``A * sqrt(eta)`` and its squared singular
+      values, from a thin SVD at O(d n^2) instead of the O(d^3) ``eigh``.
+      Otherwise, and whenever the gap between the c-th and (c+1)-th
+      eigenvalue is within rounding of zero (an exact tie, or c above the
+      rank of the data, where the two routes may pick different equally
+      valid subspaces), the scatter is built and decomposed as in the first
+      form, so the result is bit-identical to it.  The scatter is
+      ``A @ A.T`` for unit weights and ``(A * eta) @ A.T`` otherwise.
+
+    The gauge convention makes the output reproducible:
 
     * each eigenvector is flipped so its largest-magnitude entry is positive
       (ties broken by the lowest index);
@@ -103,12 +137,39 @@ def top_eigenpairs(S: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     The convention matters because downstream invariance checks compare bases
     between runs; an arbitrary eigenvector sign would break them.
     """
-    S = np.asarray(S, dtype=float)
+    A = np.asarray(A, dtype=float)
+    if weights is None:
+        return _symmetric_top_eigenpairs(A, c)
+    if A.ndim != 2:
+        raise DimensionError(f"expected a 2-D data matrix, got ndim={A.ndim}")
+    d, n = A.shape
+    c = check_rank(c, d)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise DimensionError(f"weights shape {w.shape} != ({n},)")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValidationError("weights must be finite and nonnegative")
+
+    if c < n < d:
+        # A non-finite or overflowed factor or eigenvalue falls through to
+        # the scatter, whose finiteness check reports it (the gap test is
+        # false for inf and nan).
+        B = A * np.sqrt(w)
+        if np.all(np.isfinite(B)):
+            U, s, _ = np.linalg.svd(B, full_matrices=False)
+            evals = s * s
+            if evals[c - 1] - evals[c] > d * _EPS * evals[0]:
+                return _apply_gauge(evals[:c], U[:, :c])
+    # numpy forms A @ A.T by a symmetric rank-k update, at half the cost
+    # of the general product.
+    S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T
+    return _symmetric_top_eigenpairs(S, c)
+
+
+def _symmetric_top_eigenpairs(S, c):
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {S.shape}")
-    d = S.shape[0]
-    if not (1 <= c <= d):
-        raise DimensionError(f"need 1 <= c <= {d}, got c={c}")
+    c = check_rank(c, S.shape[0])
     if not np.all(np.isfinite(S)):
         raise ValidationError("matrix entries must be finite")
     scale = np.linalg.norm(S)
@@ -117,9 +178,12 @@ def top_eigenpairs(S: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
 
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     order = np.argsort(evals, kind="stable")[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = _apply_gauge(evals[order], evecs[:, order])
+    return evals[:c].copy(), evecs[:, :c].copy()
 
+
+def _apply_gauge(evals, evecs):
+    """Sign and tie gauge of eigenvectors sorted by descending eigenvalue."""
     # Sign gauge: largest-|entry| positive, ties resolved at the lowest index.
     pivot = np.argmax(np.abs(evecs), axis=0)
     signs = np.where(evecs[pivot, np.arange(evecs.shape[1])] < 0, -1.0, 1.0)
@@ -127,10 +191,11 @@ def top_eigenpairs(S: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
 
     # Within a run of exactly equal eigenvalues, order the (sign-fixed)
     # vectors descending-lexicographically so e.g. the identity yields e1, e2.
+    k = evals.size
     start = 0
-    while start < d:
+    while start < k:
         stop = start + 1
-        while stop < d and evals[stop] == evals[start]:
+        while stop < k and evals[stop] == evals[start]:
             stop += 1
         if stop - start > 1:
             block = sorted(
@@ -138,8 +203,7 @@ def top_eigenpairs(S: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
             )
             evecs[:, start:stop] = np.array(block).T
         start = stop
-
-    return evals[:c].copy(), evecs[:, :c].copy()
+    return evals, evecs
 
 
 def column_centroid(X: DataMatrix, weights) -> np.ndarray:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, RngHandle, top_eigenpairs
+from .core import DataMatrix, RngHandle, as_integer, check_rank, top_eigenpairs
 from .corobust import WeightVector, solve_weights
-from .errors import DimensionError, InternalInvariantError
+from .errors import DimensionError, InternalInvariantError, ValidationError
 from .sigmaloss import SigmaLossParams
 
 _EPS = np.finfo(float).eps
@@ -106,13 +106,15 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     Returns a dict with the final W, m, V, residual norms, weight state,
     the objective and activation-count traces, and the iteration count.
     """
-    d, n = X.shape
+    if as_integer(max_iter, "max_iter") < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    n = X.shape[1]
     comp = np.full(n, (n - 1.0) / n) if learn_alpha else np.ones(n)
     alpha_wv = None
 
     m = X.mean(axis=1)
     Xc = X - m[:, None]
-    _, W = top_eigenpairs(Xc @ Xc.T, c)
+    _, W = top_eigenpairs(Xc, c, np.ones(n))
     V = W.T @ Xc
     rn = np.linalg.norm(Xc - W @ V, axis=0)
 
@@ -128,8 +130,7 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         eta = coeffs / comp
         m = (X * eta).sum(axis=1) / eta.sum()
         Xc = X - m[:, None]
-        Q = (Xc * eta) @ Xc.T
-        _, W = top_eigenpairs(Q, c)
+        _, W = top_eigenpairs(Xc, c, eta)
         V = W.T @ Xc
         rn = np.linalg.norm(Xc - W @ V, axis=0)
         losses = _point_losses(rn, sigma)
@@ -179,9 +180,7 @@ def epca_fit(X: DataMatrix, c: int, p: SigmaLossParams, tol: float = 1e-8,
     initialization draws nothing from it.
     """
     X = X if isinstance(X, DataMatrix) else DataMatrix(X)
-    d = X.feature_count
-    if not (1 <= c < d):
-        raise DimensionError(f"need 1 <= c < d={d}, got c={c}")
+    c = check_rank(c, X.feature_count - 1)
     out = _alternate(X.values, c, p.sigma, tol, max_iter, learn_alpha=True)
     model = SubspaceModel(out["W"], out["m"], c, out["V"])
     return EpcaFitState(

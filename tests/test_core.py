@@ -135,6 +135,96 @@ class TestTopEigenpairs:
             top_eigenpairs(np.eye(3), 0)
 
 
+
+def _dense_weighted(A, c, w):
+    return top_eigenpairs((A * w) @ A.T, c)
+
+
+class TestTopEigenpairsWeighted:
+    """The weighted-scatter form: thin SVD when c < n < d, dense otherwise."""
+
+    @staticmethod
+    def _wide(seed, d=40, n=15):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((d, n)), rng.uniform(0.1, 3.0, n)
+
+    def test_svd_route_matches_dense_projector(self, monkeypatch):
+        for seed in range(10):
+            A, w = self._wide(seed)
+            for c in (1, 4, 14):
+                ref_vals, ref_vecs = _dense_weighted(A, c, w)
+                with monkeypatch.context() as m:
+                    # The route must not fall back to the d-by-d eigensolve.
+                    m.setattr(np.linalg, "eigh", None)
+                    vals, vecs = top_eigenpairs(A, c, w)
+                np.testing.assert_allclose(vals, ref_vals, rtol=1e-10)
+                assert np.max(np.abs(vecs @ vecs.T - ref_vecs @ ref_vecs.T)) <= 1e-10
+
+    def test_svd_route_keeps_gauge_and_orthonormality(self):
+        A, w = self._wide(3)
+        vals, vecs = top_eigenpairs(A, 6, w)
+        assert np.all(np.diff(vals) < 0)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(6))) <= 1e-10
+        for j in range(6):
+            assert vecs[np.argmax(np.abs(vecs[:, j])), j] > 0
+
+    def test_svd_route_is_bitwise_deterministic(self):
+        A, w = self._wide(4)
+        vals1, vecs1 = top_eigenpairs(A, 5, w)
+        vals2, vecs2 = top_eigenpairs(A.copy(), 5, w.copy())
+        np.testing.assert_array_equal(vals1, vals2)
+        np.testing.assert_array_equal(vecs1, vecs2)
+
+    def test_rank_at_or_above_sample_count_is_dense(self):
+        A, w = self._wide(5, d=20, n=6)
+        for c in (6, 7, 20):
+            for got, ref in zip(top_eigenpairs(A, c, w), _dense_weighted(A, c, w)):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_tall_and_square_data_are_dense(self):
+        rng = np.random.default_rng(6)
+        for d, n in ((8, 30), (12, 12)):
+            A, w = rng.standard_normal((d, n)), rng.uniform(0.1, 3.0, n)
+            for got, ref in zip(top_eigenpairs(A, 3, w), _dense_weighted(A, 3, w)):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_unit_weights_decompose_the_plain_gram(self):
+        # numpy forms A @ A.T with a symmetric rank-k update, whose bits can
+        # differ from those of (A * 1) @ A.T.
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((5, 40))
+        for got, ref in zip(top_eigenpairs(A, 3, np.ones(40)), top_eigenpairs(A @ A.T, 3)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_tie_across_the_boundary_is_dense(self):
+        rng = np.random.default_rng(8)
+        w = rng.uniform(0.1, 3.0, 6)
+        # Duplicated columns, and exact rank-2 data: c above the rank puts
+        # the boundary inside the zero eigenvalues.
+        base = rng.standard_normal((10, 3))
+        duplicated = np.hstack([base, base])
+        rank2 = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
+        for A, c in ((duplicated, 4), (rank2, 3)):
+            for got, ref in zip(top_eigenpairs(A, c, w), _dense_weighted(A, c, w)):
+                np.testing.assert_array_equal(got, ref)
+        # Orthogonal columns of equal weighted norm: an exact tie at every c,
+        # ordered by the tie gauge.
+        tied, w4 = np.eye(10, 6), np.full(6, 4.0)
+        vals, vecs = top_eigenpairs(tied, 2, w4)
+        for got, ref in zip((vals, vecs), _dense_weighted(tied, 2, w4)):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(vals, [4.0, 4.0])
+        np.testing.assert_array_equal(vecs, np.eye(10, 2))
+
+    def test_rejects_bad_weights(self):
+        A = np.ones((6, 3))
+        with pytest.raises(DimensionError):
+            top_eigenpairs(A, 1, np.ones(4))
+        with pytest.raises(ValidationError):
+            top_eigenpairs(A, 1, [1.0, -1.0, 1.0])
+        with pytest.raises(ValidationError):
+            top_eigenpairs(A, 1, [1.0, np.nan, 1.0])
+
 class TestColumnCentroid:
     def test_unweighted_mean(self):
         X = DataMatrix(np.array([[0.0, 2.0], [0.0, 2.0]]))

@@ -15,18 +15,24 @@ from epca import (
     CorruptionSpec,
     DataMatrix,
     DimensionError,
+    EpcaError,
     SigmaLossParams,
     SubspaceModel,
     ValidationError,
     corrupt,
     epca_fit,
     epca_objective,
+    fit_classical_pca,
+    fit_pca_om,
     irls_coefficient,
     objective_value,
     reconstruct,
     sigma_norm_vector,
+    top_eigenpairs,
     transform,
 )
+import epca.core
+import epca.solver
 
 from oracles import largest_principal_angle
 
@@ -146,6 +152,61 @@ class TestFit:
         X[2, 3] = np.nan
         with pytest.raises(ValidationError):
             epca_fit(X, 2, SigmaLossParams(1.0))
+
+
+_RANK_ENTRY_POINTS = {
+    "epca_fit": lambda X, c: epca_fit(X, c, SigmaLossParams(1.0)),
+    "fit_pca_om": fit_pca_om,
+    "fit_classical_pca": fit_classical_pca,
+    "top_eigenpairs": lambda X, c: top_eigenpairs(X @ X.T, c),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RANK_ENTRY_POINTS))
+def test_rank_must_be_an_integer(entry):
+    X = np.random.default_rng(14).standard_normal((5, 20))
+    fit = _RANK_ENTRY_POINTS[entry]
+    with pytest.raises(EpcaError, match=r"rank c must be an integer, got 2\.5"):
+        fit(X, 2.5)
+    fit(X, np.int64(2))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, max_iter: epca_fit(X, 2, SigmaLossParams(1.0), max_iter=max_iter),
+    lambda X, max_iter: fit_pca_om(X, 2, max_iter=max_iter),
+], ids=["epca_fit", "fit_pca_om"])
+def test_max_iter_must_be_positive(fit):
+    X = np.random.default_rng(15).standard_normal((5, 20))
+    for bad in (0, -1, 2.0):
+        with pytest.raises(ValidationError, match="max_iter"):
+            fit(X, bad)
+    fit(X, 1)
+
+
+def _dense_top_eigenpairs(A, c, weights=None):
+    """The weighted form computed through the d-by-d scatter only."""
+    if weights is not None:
+        A = (A * weights) @ A.T
+    return epca.core.top_eigenpairs(A, c)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X: epca_fit(X, 3, SigmaLossParams(1.0)),
+    lambda X: fit_pca_om(X, 3),
+], ids=["epca_fit", "fit_pca_om"])
+def test_wide_data_svd_route_matches_the_dense_eigensolve(fit, monkeypatch):
+    rng = np.random.default_rng(16)
+    d, n = 60, 40
+    X = _noisy_low_rank(rng, d=d, n=n, c=3).values
+    X[:, :4] += 5.0 * rng.standard_normal((d, 4))
+    routed = fit(X)
+    monkeypatch.setattr(epca.solver, "top_eigenpairs", _dense_top_eigenpairs)
+    dense = fit(X)
+    assert len(routed.objective_trace) == len(dense.objective_trace) > 2
+    np.testing.assert_allclose(routed.objective_trace, dense.objective_trace, rtol=1e-9)
+    # Only the weighted fit records these; pca_om's result has neither.
+    for name in ("iterations", "active_count_trace"):
+        np.testing.assert_array_equal(getattr(routed, name, None), getattr(dense, name, None))
 
 
 class TestTransformReconstruct:

@@ -9,7 +9,7 @@ are included for comparison, together with an occlusion benchmark harness.
 
 __version__ = "0.1.0"
 
-from .baselines import BaselineModel, fit_classical_pca, fit_pca_om
+from .baselines import fit_classical_pca, fit_pca_om
 from .core import DataMatrix, RngHandle, column_centroid, top_eigenpairs
 from .corobust import WeightVector, direct_weights, objective_value, solve_weights
 from .errors import (
@@ -33,6 +33,7 @@ from .evaluation import (
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
+    fit_method,
     grid_search_sigma,
     ingest_csv,
     run_experiment,
@@ -48,7 +49,6 @@ from .sigmaloss import (
 from .solver import EpcaFitState, SubspaceModel, epca_fit, epca_objective, reconstruct, transform
 
 __all__ = [
-    "BaselineModel",
     "CorruptionSpec",
     "DataMatrix",
     "DegenerateWeightsError",
@@ -74,6 +74,7 @@ __all__ = [
     "epca_fit",
     "epca_objective",
     "fit_classical_pca",
+    "fit_method",
     "fit_pca_om",
     "grid_search_sigma",
     "ingest_csv",

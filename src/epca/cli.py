@@ -18,19 +18,17 @@ import sys
 
 import numpy as np
 
-from .baselines import fit_classical_pca, fit_pca_om
 from .core import RngHandle
 from .errors import EpcaError
 from .evaluation import CorruptionSpec, corrupt, mean_clustering_accuracy, reconstruction_error
 from .harness import (
     KNOWN_METHODS,
     ExperimentConfig,
+    fit_method,
     grid_search_sigma,
     ingest_csv,
     run_experiment,
 )
-from .sigmaloss import SigmaLossParams
-from .solver import epca_fit
 
 DEFAULT_SIGMA_GRID = [float(2.0**e) for e in range(-20, 21, 2)]
 
@@ -69,32 +67,17 @@ def _cmd_corrupt(args):
 
 def _cmd_fit(args):
     X, _ = ingest_csv(args.input)
-    if args.method == "classical_pca":
-        model = fit_classical_pca(X, args.rank)
-        basis, translation = model.basis, model.translation
-        iterations, k_trace, trace = 0, [], []
-    elif args.method == "pca_om":
-        model = fit_pca_om(X, args.rank, tol=args.tol, max_iter=args.max_iter)
-        basis, translation = model.basis, model.translation
-        iterations = len(model.objective_trace) - 1
-        k_trace, trace = [], [float(v) for v in model.objective_trace]
-    else:
-        state = epca_fit(X, args.rank, SigmaLossParams(args.sigma),
-                         tol=args.tol, max_iter=args.max_iter,
-                         rng=RngHandle(args.seed))
-        basis, translation = state.model.basis, state.model.translation
-        iterations = state.iterations
-        k_trace = [int(k) for k in state.active_count_trace]
-        trace = [float(v) for v in state.objective_trace]
+    model, iterations, k_trace = fit_method(args.method, X, args.rank, args.sigma,
+                                            args.tol, args.max_iter)
     _emit({
         "method": args.method,
         "rank": args.rank,
         "sigma": args.sigma if args.method == "epca" else None,
-        "basis": [[float(v) for v in row] for row in basis],
-        "translation": [float(v) for v in translation],
+        "basis": [[float(v) for v in row] for row in model.basis],
+        "translation": [float(v) for v in model.translation],
         "iterations": iterations,
         "active_count_trace": k_trace,
-        "objective_trace": trace,
+        "objective_trace": [float(v) for v in model.objective_trace],
     }, args.out)
     return 0
 
@@ -225,7 +208,6 @@ def build_parser():
     p.add_argument("--method", choices=KNOWN_METHODS, default="epca")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--out", default=None)

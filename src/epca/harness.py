@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import fit_classical_pca, fit_pca_om
-from .core import DataMatrix, RngHandle
+from .core import DataMatrix, RngHandle, as_integer
 from .errors import (
     DimensionError,
     EpcaError,
@@ -62,13 +62,13 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}; known: {KNOWN_METHODS}")
-        if not self.ranks or any(int(c) < 1 for c in self.ranks):
+        self.ranks = [as_integer(c, "rank c") for c in self.ranks or []]
+        if not self.ranks or min(self.ranks) < 1:
             raise ValidationError("ranks must be a non-empty list of positive integers")
         if not self.sigma_grid:
             raise ValidationError("sigma_grid must be non-empty")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
-        self.ranks = [int(c) for c in self.ranks]
         self.sigma_grid = [float(s) for s in self.sigma_grid]
         self.seeds = [int(s) for s in self.seeds]
 
@@ -206,17 +206,23 @@ def _thread_count() -> int:
         return 1
 
 
-def _fit_method(method, X_occ, rank, sigma, tol, max_iter):
-    """Returns (basis, translation, iterations, active_count_trace)."""
+def fit_method(method, X, rank, sigma, tol, max_iter):
+    """Fit one of ``KNOWN_METHODS``; returns (model, iterations, active_count_trace).
+
+    ``sigma`` is used by ``epca`` only, and ``tol``/``max_iter`` by the two
+    iterative fits.  The fits are looked up as module globals at call time,
+    so a wrapper installed on ``epca.harness.<fit>`` sees every call.
+    """
     if method == "classical_pca":
-        model = fit_classical_pca(X_occ, rank)
-        return model.basis, model.translation, 0, []
-    if method == "pca_om":
-        model = fit_pca_om(X_occ, rank, tol=tol, max_iter=max_iter)
-        return model.basis, model.translation, len(model.objective_trace) - 1, []
-    state = epca_fit(X_occ, rank, SigmaLossParams(sigma), tol=tol, max_iter=max_iter)
-    return (state.model.basis, state.model.translation, state.iterations,
-            [int(k) for k in state.active_count_trace])
+        model, k_trace = fit_classical_pca(X, rank), []
+    elif method == "pca_om":
+        model, k_trace = fit_pca_om(X, rank, tol=tol, max_iter=max_iter), []
+    elif method == "epca":
+        state = epca_fit(X, rank, SigmaLossParams(sigma), tol=tol, max_iter=max_iter)
+        model, k_trace = state.model, [int(k) for k in state.active_count_trace]
+    else:
+        raise ValidationError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+    return model, max(len(model.objective_trace) - 1, 0), k_trace
 
 
 def _run_cell(index, seed, method, rank, sigma, X, X_occ, labels, cfg):
@@ -228,17 +234,18 @@ def _run_cell(index, seed, method, rank, sigma, X, X_occ, labels, cfg):
     }
     start = time.perf_counter()
     try:
-        basis, translation, iterations, k_trace = _fit_method(
+        model, iterations, k_trace = fit_method(
             method, X_occ, rank, sigma, cfg.tol, cfg.max_iter
         )
-        cell["reconstruction_error"] = reconstruction_error(X, X_occ, basis, translation)
+        cell["reconstruction_error"] = reconstruction_error(
+            X, X_occ, model.basis, model.translation
+        )
         cell["iterations"] = iterations
         cell["active_count_trace"] = k_trace
         if labels is not None:
-            coords = basis.T @ (X_occ.values - translation[:, None])
             rng = RngHandle(seed).derive("cell", index)
             cell["mean_accuracy"] = mean_clustering_accuracy(
-                coords, labels, cfg.kmeans_restarts, rng
+                transform(model, X_occ), labels, cfg.kmeans_restarts, rng
             )
     except Exception as exc:  # record the failure in place, keep the grid running
         cell["error"] = f"{type(exc).__name__}: {exc}"

@@ -47,13 +47,45 @@ class SigmaLossParams:
         object.__setattr__(self, "sigma", s)
 
 
+def loss_kernel(r, sigma):
+    """Point-wise loss of residual norms ``r`` (unchecked)."""
+    return (1.0 + sigma) * r * r / (r + sigma)
+
+
+def coefficient_kernel(r, sigma):
+    """IRLS coefficient of residual norms ``r`` (unchecked).
+
+    Below sigma = 1e-12 the formula tends to 0/0 at r = 0, so the norms are
+    clamped there; for larger sigma it is already finite.
+    """
+    if sigma < 1e-12:
+        r = np.maximum(r, 1e-14)
+    return (1.0 + sigma) * (r + 2.0 * sigma) / (2.0 * (r + sigma) ** 2)
+
+
+def descent_converged(trace, tol, slack=0.0) -> bool:
+    """Check the last step of an objective trace that must not increase.
+
+    Raises :class:`InternalInvariantError` when ``trace[-1]`` exceeds
+    ``trace[-2]`` by more than 1e-9 relative plus an absolute floor at the
+    float resolution of ``trace[0]`` plus ``slack``; otherwise returns
+    whether the relative decrease fell to ``tol`` or below.
+    """
+    prev, obj = trace[-2], trace[-1]
+    noise_floor = _EPS * max(1.0, abs(trace[0]))
+    if obj > prev + 1e-9 * abs(prev) + noise_floor + slack:
+        raise InternalInvariantError(
+            f"objective rose from {prev!r} to {obj!r} at iteration {len(trace) - 1}"
+        )
+    return prev - obj <= tol * max(abs(prev), noise_floor)
+
+
 def sigma_norm_vector(a, p: SigmaLossParams) -> float:
     """Point-wise loss (1+sigma)*||a||^2 / (||a|| + sigma); zero vector -> 0."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValidationError("vector entries must be finite")
-    r = float(np.linalg.norm(a))
-    return (1.0 + p.sigma) * r * r / (r + p.sigma)
+    return loss_kernel(float(np.linalg.norm(a)), p.sigma)
 
 
 def sigma_norm_matrix(A, p: SigmaLossParams) -> float:
@@ -61,8 +93,7 @@ def sigma_norm_matrix(A, p: SigmaLossParams) -> float:
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValidationError("matrix entries must be finite")
-    r = np.linalg.norm(np.atleast_2d(A), axis=0)
-    return float(np.sum((1.0 + p.sigma) * r * r / (r + p.sigma)))
+    return float(np.sum(loss_kernel(np.linalg.norm(np.atleast_2d(A), axis=0), p.sigma)))
 
 
 def irls_coefficient(residual_norm, p: SigmaLossParams):
@@ -74,7 +105,7 @@ def irls_coefficient(residual_norm, p: SigmaLossParams):
     r = np.asarray(residual_norm, dtype=float)
     if not np.all(np.isfinite(r)) or np.any(r < 0):
         raise ValidationError("residual norms must be finite and nonnegative")
-    d = (1.0 + p.sigma) * (r + 2.0 * p.sigma) / (2.0 * (r + p.sigma) ** 2)
+    d = coefficient_kernel(r, p.sigma)
     return float(d) if np.isscalar(residual_norm) else d
 
 
@@ -120,25 +151,15 @@ def irls_solve(residual_fn, wls_solver, s, p: SigmaLossParams, params0,
             raise ValidationError(
                 f"residual_fn produced {rnorm.size} samples, expected {s.size}"
             )
-        losses = (1.0 + p.sigma) * rnorm * rnorm / (rnorm + p.sigma)
-        return float(np.sum(s * losses)), rnorm
+        return float(np.sum(s * loss_kernel(rnorm, p.sigma))), rnorm
 
     params = params0
     obj, rnorm = objective(params)
     trace = [obj]
-    noise_floor = _EPS * max(1.0, abs(obj))
-    iterations = 0
     for _ in range(max_iter):
-        d = irls_coefficient(rnorm, p)
-        params = wls_solver(s * d)
-        iterations += 1
-        prev = trace[-1]
+        params = wls_solver(s * irls_coefficient(rnorm, p))
         obj, rnorm = objective(params)
         trace.append(obj)
-        if obj > prev + 1e-9 * abs(prev) + noise_floor:
-            raise InternalInvariantError(
-                f"objective rose from {prev!r} to {obj!r} at iteration {iterations}"
-            )
-        if prev - obj <= tol * max(abs(prev), noise_floor):
+        if descent_converged(trace, tol):
             break
-    return IrlsResult(params, np.array(trace), iterations)
+    return IrlsResult(params, np.array(trace), len(trace) - 1)

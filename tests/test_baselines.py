@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from epca import (
-    BaselineModel,
     DataMatrix,
     DimensionError,
+    SubspaceModel,
     ValidationError,
     fit_classical_pca,
     fit_pca_om,
@@ -51,7 +51,6 @@ class TestClassicalPca:
     def test_no_iteration_trace(self):
         rng = np.random.default_rng(17)
         model = fit_classical_pca(DataMatrix(rng.standard_normal((4, 10))), 2)
-        assert model.method_tag == "classical_pca"
         assert model.objective_trace.size == 0
 
     def test_rejects_bad_rank(self):
@@ -164,11 +163,16 @@ class TestRotationEquivariance:
             np.testing.assert_allclose(b.translation, R @ a.translation, atol=1e-8)
 
 
-class TestBaselineModelInvariants:
-    def test_rejects_unknown_method_tag(self):
-        with pytest.raises(ValidationError):
-            BaselineModel(np.eye(3)[:, :1], np.zeros(3), "other_method")
-
-    def test_rejects_non_orthonormal_basis(self):
-        with pytest.raises(DimensionError):
-            BaselineModel(np.ones((3, 2)), np.zeros(3), "classical_pca")
+class TestSharedModelType:
+    def test_both_baselines_return_a_subspace_model(self):
+        X = DataMatrix(np.random.default_rng(35).standard_normal((5, 30)))
+        pca = fit_classical_pca(X, 2)
+        om = fit_pca_om(X, 2)
+        assert type(pca) is SubspaceModel and type(om) is SubspaceModel
+        assert pca.objective_trace.size == 0
+        assert om.objective_trace.size >= 2
+        for model in (pca, om):
+            assert model.target_rank == 2
+            assert model.coordinates.shape == (2, 30)
+        Xc = X.values - pca.translation[:, None]
+        np.testing.assert_array_equal(pca.coordinates, pca.basis.T @ Xc)

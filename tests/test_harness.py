@@ -12,11 +12,16 @@ import pytest
 import epca
 from epca import (
     CorruptionSpec,
+    DataMatrix,
     DimensionError,
     ExperimentConfig,
     IngestionError,
+    SigmaLossParams,
     ValidationError,
+    epca_fit,
     fit_classical_pca,
+    fit_method,
+    fit_pca_om,
     grid_search_sigma,
     ingest_csv,
     reconstruction_error,
@@ -148,6 +153,8 @@ class TestExperimentConfig:
     def test_ranks_must_be_positive(self):
         with pytest.raises(ValidationError, match="positive"):
             _config("x.csv", ranks=[0])
+        with pytest.raises(ValidationError, match=r"rank c must be an integer, got 2\.5"):
+            _config("x.csv", ranks=[2, 2.5])
 
     def test_numeric_axes_are_coerced_to_plain_types(self):
         cfg = _config("x.csv", ranks=[np.int64(2)],
@@ -301,6 +308,61 @@ class TestGridSearchSigma:
         assert failed[0]["error"] is None
         assert math.isnan(failed[0]["log2_sigma"])
         assert best > 0.0
+
+
+_FITS = {"classical_pca": "fit_classical_pca", "epca": "epca_fit", "pca_om": "fit_pca_om"}
+
+
+class TestFitHooks:
+    """Every fit the harness and the CLI make goes through the module globals
+    ``epca.harness.<fit>``, where a wrapper (such as a profiler's) sees it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        monkeypatch.delenv("EPCA_THREADS", raising=False)
+        counts = dict.fromkeys(_FITS.values(), 0)
+        for name in _FITS.values():
+            original = getattr(epca.harness, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(epca.harness, name, counting)
+        return counts
+
+    def test_run_experiment_reaches_each_fit_once_per_cell(self, tmp_path, counts):
+        cfg = _config(_data_csv(tmp_path), methods=["classical_pca", "epca", "pca_om"],
+                      ranks=[1, 2], sigma_grid=[0.5, 2.0, 8.0], seeds=[0, 1])
+        assert not run_experiment(cfg).any_failures
+        assert counts == dict.fromkeys(_FITS.values(), 2 * 3 * 2)
+
+    @pytest.mark.parametrize("method", sorted(_FITS))
+    def test_cli_fit_reaches_only_its_fit(self, tmp_path, counts, method):
+        code = cli.main(["fit", "--input", str(_data_csv(tmp_path)), "--method", method,
+                         "--rank", "2", "--out", str(tmp_path / "model.json")])
+        assert code == 0
+        assert counts == {name: int(name == _FITS[method]) for name in _FITS.values()}
+
+    def test_fit_method_returns_the_direct_fits_bits(self):
+        X = DataMatrix(_low_rank(np.random.default_rng(12), d=6, n=30))
+        state = epca_fit(X, 2, SigmaLossParams(0.5), tol=1e-9, max_iter=50)
+        om = fit_pca_om(X, 2, tol=1e-9, max_iter=50)
+        direct = {
+            "classical_pca": (fit_classical_pca(X, 2), 0, []),
+            "pca_om": (om, len(om.objective_trace) - 1, []),
+            "epca": (state.model, state.iterations, [int(k) for k in state.active_count_trace]),
+        }
+        for method, (expected, iterations, k_trace) in direct.items():
+            model, got_iterations, got_k_trace = fit_method(method, X, 2, 0.5, 1e-9, 50)
+            for name in ("basis", "translation", "coordinates", "objective_trace"):
+                np.testing.assert_array_equal(getattr(model, name), getattr(expected, name))
+            assert (got_iterations, got_k_trace) == (iterations, k_trace)
+
+    def test_fit_method_rejects_an_unknown_name(self):
+        X = DataMatrix(_low_rank(np.random.default_rng(13)))
+        with pytest.raises(ValidationError, match="unknown method 'robust_pca'"):
+            fit_method("robust_pca", X, 2, 1.0, 1e-8, 100)
 
 
 class TestCli:

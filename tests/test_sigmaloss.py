@@ -131,6 +131,12 @@ class TestIrlsCoefficient:
         d = irls_coefficient(r, p)
         assert np.all(d > 0) and np.all(np.isfinite(d))
 
+    def test_zero_residual_at_tiny_sigma_is_finite(self):
+        # 1/sigma overflows here; the norms are clamped below sigma = 1e-12.
+        with np.errstate(all="raise"):
+            d = irls_coefficient(0.0, SigmaLossParams(1e-200))
+        assert np.isfinite(d) and d > 0
+
     def test_rejects_negative_residual(self):
         with pytest.raises(ValidationError):
             irls_coefficient(-0.1, SigmaLossParams(1.0))

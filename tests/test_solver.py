@@ -16,6 +16,7 @@ from epca import (
     DataMatrix,
     DimensionError,
     EpcaError,
+    InternalInvariantError,
     SigmaLossParams,
     SubspaceModel,
     ValidationError,
@@ -181,6 +182,23 @@ def test_max_iter_must_be_positive(fit):
         with pytest.raises(ValidationError, match="max_iter"):
             fit(X, bad)
     fit(X, 1)
+
+
+def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
+    X = _noisy_low_rank(np.random.default_rng(17), d=10, n=40, c=2)
+    gen = np.random.default_rng(18)
+    calls = []
+
+    def sabotaged(A, c, weights=None):
+        calls.append(c)
+        if len(calls) == 1:  # the initial classical-PCA basis
+            return epca.core.top_eigenpairs(A, c, weights)
+        return None, np.linalg.qr(gen.standard_normal((A.shape[0], c)))[0]
+
+    monkeypatch.setattr(epca.solver, "top_eigenpairs", sabotaged)
+    with pytest.raises(InternalInvariantError, match="objective rose .* at iteration 1$"):
+        epca_fit(X, 3, SigmaLossParams(1.0))
+    assert len(calls) == 2
 
 
 def _dense_top_eigenpairs(A, c, weights=None):

@@ -10,10 +10,9 @@ are included for comparison, together with an occlusion benchmark harness.
 __version__ = "0.1.0"
 
 from .baselines import fit_classical_pca, fit_pca_om
-from .core import DataMatrix, RngHandle, column_centroid, top_eigenpairs
-from .corobust import WeightVector, direct_weights, objective_value, solve_weights
+from .core import DataMatrix, RngHandle, top_eigenpairs
+from .corobust import WeightVector, objective_value, solve_weights
 from .errors import (
-    DegenerateWeightsError,
     DimensionError,
     EpcaError,
     IngestionError,
@@ -26,7 +25,6 @@ from .evaluation import (
     LabelVector,
     clustering_accuracy,
     corrupt,
-    kmeans,
     mean_clustering_accuracy,
     reconstruction_error,
 )
@@ -51,7 +49,6 @@ from .solver import EpcaFitState, SubspaceModel, epca_fit, epca_objective, recon
 __all__ = [
     "CorruptionSpec",
     "DataMatrix",
-    "DegenerateWeightsError",
     "DimensionError",
     "EpcaError",
     "EpcaFitState",
@@ -68,9 +65,7 @@ __all__ = [
     "ValidationError",
     "WeightVector",
     "clustering_accuracy",
-    "column_centroid",
     "corrupt",
-    "direct_weights",
     "epca_fit",
     "epca_objective",
     "fit_classical_pca",
@@ -80,7 +75,6 @@ __all__ = [
     "ingest_csv",
     "irls_coefficient",
     "irls_solve",
-    "kmeans",
     "mean_clustering_accuracy",
     "objective_value",
     "reconstruct",

@@ -19,16 +19,18 @@ import sys
 import numpy as np
 
 from .core import RngHandle
-from .errors import EpcaError
+from .errors import EpcaError, IngestionError
 from .evaluation import CorruptionSpec, corrupt, mean_clustering_accuracy, reconstruction_error
 from .harness import (
     KNOWN_METHODS,
     ExperimentConfig,
+    coarse_winner,
     fit_method,
     grid_search_sigma,
     ingest_csv,
     run_experiment,
 )
+from .solver import SubspaceModel, transform
 
 DEFAULT_SIGMA_GRID = [float(2.0**e) for e in range(-20, 21, 2)]
 
@@ -82,22 +84,38 @@ def _cmd_fit(args):
     return 0
 
 
+def _load_model(path):
+    """A ``SubspaceModel`` from a model file written by ``epca fit``.
+
+    The file holds no coordinates, so the model carries an empty set.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        basis = np.array(raw["basis"], dtype=float)
+        translation = np.array(raw["translation"], dtype=float)
+        rank = basis.shape[1]
+        return SubspaceModel(basis, translation, rank, np.empty((rank, 0)))
+    except (EpcaError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(
+            f"{path}: not a model file ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 def _cmd_eval(args):
     X_clean, labels = ingest_csv(args.clean, args.labels)
     X_occ, _ = ingest_csv(args.occluded)
-    with open(args.model, encoding="utf-8") as fh:
-        model = json.load(fh)
-    basis = np.array(model["basis"], dtype=float)
-    translation = np.array(model["translation"], dtype=float)
+    model = _load_model(args.model)
     result = {
-        "reconstruction_error": reconstruction_error(X_clean, X_occ, basis, translation),
+        "reconstruction_error": reconstruction_error(
+            X_clean, X_occ, model.basis, model.translation
+        ),
         "mean_accuracy": None,
     }
     if labels is not None:
-        coords = basis.T @ (X_occ.values - translation[:, None])
         rng = RngHandle(args.seed).derive("eval")
         result["mean_accuracy"] = mean_clustering_accuracy(
-            coords, labels, args.restarts, rng
+            transform(model, X_occ), labels, args.restarts, rng
         )
     _emit(result, args.out)
     return 0
@@ -165,11 +183,7 @@ def _cmd_run(args):
 def _cmd_grid_sigma(args):
     cfg = _build_config(args, default_sigmas=DEFAULT_SIGMA_GRID)
     best_sigma, curve = grid_search_sigma(cfg)
-    coarse = [row for row in curve if row["stage"] == "coarse" and row["failure"] is None]
-    coarse_best = min(coarse, key=lambda row: (row["error"], row["sigma"]))
-    boundary = coarse_best["sigma"] in (
-        min(r["sigma"] for r in coarse), max(r["sigma"] for r in coarse)
-    )
+    _, boundary, _ = coarse_winner(curve)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 
 _SYMMETRY_RTOL = 1e-10
 _EPS = np.finfo(float).eps
@@ -205,17 +205,3 @@ def _apply_gauge(evals, evecs):
         start = stop
     return evals, evecs
 
-
-def column_centroid(X: DataMatrix, weights) -> np.ndarray:
-    """Weighted mean of the sample columns: sum_i w_i x_i / sum_i w_i."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != X.sample_count:
-        raise DimensionError(
-            f"weights length {w.size} != sample count {X.sample_count}"
-        )
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValidationError("weights must be finite and nonnegative")
-    total = w.sum()
-    if total == 0.0:
-        raise DegenerateWeightsError("all weights are zero")
-    return (X.values * w).sum(axis=1) / total

@@ -168,13 +168,6 @@ def _solve_positive_or_degenerate(f, zero_floor):
                         floor_correction=float(floor_corr))
 
 
-def direct_weights(wv: WeightVector) -> np.ndarray:
-    """Effective loss multipliers 1 / (1 - w_i); inactive samples get exactly 1."""
-    if np.any(wv.weights >= 1.0):
-        raise InvariantError("direct weights undefined at w_i >= 1")
-    return 1.0 / wv.complements
-
-
 def objective_value(losses, wv: WeightVector) -> float:
     """Evaluate sum_i f_i / (1 - w_i) at the given weights."""
     f = np.asarray(losses, dtype=float)

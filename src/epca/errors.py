@@ -13,10 +13,6 @@ class DimensionError(EpcaError):
     """Shapes, ranks, or lengths are inconsistent with the requested operation."""
 
 
-class DegenerateWeightsError(ValidationError):
-    """A weighted reduction was requested with an all-zero weight vector."""
-
-
 class InvariantError(EpcaError):
     """A value object violates one of its documented invariants."""
 

@@ -131,17 +131,14 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
 
 
 def _kmeans_once(P, k, gen):
-    """One k-means++ seeded Lloyd run on points P (columns). Returns (labels, wcss)."""
+    """One k-means++ seeded Lloyd run on points P (columns). Returns the labels."""
     dim, n = P.shape
     centers = np.empty((dim, k))
-    centers[:, 0] = P[:, gen.integers(n)]
-    d2 = np.sum((P - centers[:, [0]]) ** 2, axis=0)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            pick = gen.choice(n, p=d2 / total)
-        else:
-            pick = gen.integers(n)
+    d2 = np.full(n, np.inf)
+    for j in range(k):
+        # The first centre is drawn uniformly, the rest by squared distance.
+        total = d2.sum() if j else 0.0
+        pick = gen.choice(n, p=d2 / total) if total > 0 else gen.integers(n)
         centers[:, j] = P[:, pick]
         d2 = np.minimum(d2, np.sum((P - centers[:, [j]]) ** 2, axis=0))
 
@@ -166,35 +163,7 @@ def _kmeans_once(P, k, gen):
             members = labels == j
             if np.any(members):
                 centers[:, j] = P[:, members].mean(axis=1)
-    dists = (
-        np.sum(P * P, axis=0)[None, :]
-        - 2.0 * centers.T @ P
-        + np.sum(centers * centers, axis=0)[:, None]
-    )
-    wcss = float(np.sum(np.maximum(dists[labels, np.arange(P.shape[1])], 0.0)))
-    return labels, wcss
-
-
-def kmeans(V, k: int, restarts: int, rng: RngHandle) -> np.ndarray:
-    """Best-of-``restarts`` k-means labels (lowest within-cluster sum of squares).
-
-    Every restart runs from its own derived stream, so the result does not
-    depend on scheduling and is reproducible from ``rng`` alone.
-    """
-    P = np.asarray(V, dtype=float)
-    if P.ndim != 2:
-        raise DimensionError("coordinates must be a 2-D matrix (columns = points)")
-    n = P.shape[1]
-    if not (1 <= k <= n):
-        raise DimensionError(f"need 1 <= k <= {n}, got k={k}")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
-    best_labels, best_wcss = None, np.inf
-    for r in range(restarts):
-        labels, wcss = _kmeans_once(P, k, rng.derive("kmeans", r).generator())
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-    return best_labels
+    return labels
 
 
 def clustering_accuracy(predicted, truth: LabelVector) -> float:
@@ -218,13 +187,20 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
 
     Each restart is scored separately and the scores are averaged — this is
     deliberately not best-of-restarts, so the number reflects typical rather
-    than best-case clustering behavior.
+    than best-case clustering behavior.  Restart ``r`` runs from its own
+    stream ``rng.derive("kmeans", r)``, so the result is reproducible from
+    ``rng`` alone.
     """
     P = np.asarray(V, dtype=float)
+    if P.ndim != 2:
+        raise DimensionError("coordinates must be a 2-D matrix (columns = points)")
+    k, n = truth.class_count, P.shape[1]
+    if not (1 <= k <= n):
+        raise DimensionError(f"need 1 <= class count <= {n} points, got {k} classes")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     accs = []
     for r in range(restarts):
-        labels, _ = _kmeans_once(P, truth.class_count, rng.derive("kmeans", r).generator())
+        labels = _kmeans_once(P, k, rng.derive("kmeans", r).generator())
         accs.append(clustering_accuracy(labels, truth))
     return float(np.mean(accs))

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .evaluation import CorruptionSpec, LabelVector, corrupt, mean_clustering_accuracy, reconstruction_error
 from .sigmaloss import SigmaLossParams
-from .solver import epca_fit, transform
+from .solver import epca_fit
 
 logger = logging.getLogger(__name__)
 
@@ -131,6 +130,39 @@ def _parse_cell(cell, row_num, col_num):
         ) from None
 
 
+def _parse_label(cell, row_num):
+    # Every integer below 2**53 is exact in a float; nothing else is a class id.
+    try:
+        value = float(cell)
+    except ValueError:
+        value = float("nan")
+    if not (value.is_integer() and abs(value) < 2**53):
+        raise IngestionError(f"row {row_num}: could not parse label {cell!r} as an integer")
+    return int(value)
+
+
+def _csv_rows(path):
+    """Yield ``(row_number, row)`` for the non-blank rows of a CSV file.
+
+    Row numbers are 1-based as in the file.  A first row holding a cell that
+    is not a number is a header: it is skipped with a log notice.
+    """
+    first = True
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row_num, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if first:
+                first = False
+                try:
+                    for cell in row:
+                        float(cell)
+                except ValueError:
+                    logger.info("skipping header row in %s: %r", path, row)
+                    continue
+            yield row_num, row
+
+
 def ingest_csv(path, labels_path=None):
     """Load a numeric CSV (rows = samples) and an optional label column.
 
@@ -140,70 +172,26 @@ def ingest_csv(path, labels_path=None):
     matrix is transposed into the internal columns-are-samples convention.
     """
     rows = []
-    expected = None
-    skipped_header = False
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_num, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if expected is None and not skipped_header:
-                numeric = True
-                for cell in row:
-                    try:
-                        float(cell)
-                    except ValueError:
-                        numeric = False
-                        break
-                if not numeric:
-                    logger.info("skipping header row in %s: %r", path, row)
-                    skipped_header = True
-                    continue
-            if expected is None:
-                expected = len(row)
-            if len(row) != expected:
-                raise IngestionError(
-                    f"row {row_num}: has {len(row)} cells, expected {expected}"
-                )
-            rows.append([_parse_cell(cell, row_num, col_num)
-                         for col_num, cell in enumerate(row, start=1)])
+    for row_num, row in _csv_rows(path):
+        if rows and len(row) != len(rows[0]):
+            raise IngestionError(
+                f"row {row_num}: has {len(row)} cells, expected {len(rows[0])}"
+            )
+        rows.append([_parse_cell(cell, row_num, col_num)
+                     for col_num, cell in enumerate(row, start=1)])
     if not rows:
         raise IngestionError(f"{path}: no numeric data rows")
     X = DataMatrix(np.array(rows, dtype=float).T)
 
     labels = None
     if labels_path is not None:
-        raw = []
-        skipped_header = False
-        with open(labels_path, newline="", encoding="utf-8") as fh:
-            for row_num, row in enumerate(csv.reader(fh), start=1):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                cell = row[0].strip()
-                try:
-                    raw.append(int(float(cell)))
-                except ValueError:
-                    if not raw and not skipped_header:
-                        logger.info("skipping header row in %s: %r", labels_path, row)
-                        skipped_header = True
-                        continue
-                    raise IngestionError(
-                        f"row {row_num}: could not parse label {cell!r}"
-                    ) from None
+        raw = [_parse_label(row[0].strip(), row_num) for row_num, row in _csv_rows(labels_path)]
         if len(raw) != X.sample_count:
             raise IngestionError(
                 f"label count {len(raw)} != sample count {X.sample_count}"
             )
         labels = LabelVector.from_raw(raw)
     return X, labels
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("EPCA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring non-integer EPCA_THREADS=%r", raw)
-        return 1
 
 
 def fit_method(method, X, rank, sigma, tol, max_iter):
@@ -245,7 +233,7 @@ def _run_cell(index, seed, method, rank, sigma, X, X_occ, labels, cfg):
         if labels is not None:
             rng = RngHandle(seed).derive("cell", index)
             cell["mean_accuracy"] = mean_clustering_accuracy(
-                transform(model, X_occ), labels, cfg.kmeans_restarts, rng
+                model.coordinates, labels, cfg.kmeans_restarts, rng
             )
     except Exception as exc:  # record the failure in place, keep the grid running
         cell["error"] = f"{type(exc).__name__}: {exc}"
@@ -271,22 +259,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         )
     clean_digest = hashlib.sha256(X.values.tobytes()).hexdigest()
 
-    tasks = []
-    index = 0
-    for seed in cfg.seeds:
-        occluded, _, _ = corrupt(X, replace(cfg.corruption, seed=seed))
-        for method in cfg.methods:
-            for rank in cfg.ranks:
-                for sigma in cfg.sigma_grid:
-                    tasks.append((index, seed, method, rank, sigma, X, occluded, labels, cfg))
-                    index += 1
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda t: _run_cell(*t), tasks))
-    else:
-        cells = [_run_cell(*t) for t in tasks]
+    occluded = {
+        seed: corrupt(X, replace(cfg.corruption, seed=seed))[0] for seed in cfg.seeds
+    }
+    grid = itertools.product(cfg.seeds, cfg.methods, cfg.ranks, cfg.sigma_grid)
+    cells = [
+        _run_cell(index, seed, method, rank, sigma, X, occluded[seed], labels, cfg)
+        for index, (seed, method, rank, sigma) in enumerate(grid)
+    ]
 
     if hashlib.sha256(X.values.tobytes()).hexdigest() != clean_digest:
         raise InternalInvariantError("the clean input matrix was mutated during the run")
@@ -298,12 +278,13 @@ def grid_search_sigma(cfg: ExperimentConfig):
 
     Coarse stage: evaluate every sigma in ``cfg.sigma_grid`` (sorted) by the
     mean reconstruction error across seeds at rank ``cfg.ranks[0]``.  Fine
-    stage: 8 log-spaced points strictly between the coarse winner's grid
-    neighbors.  Ties resolve to the smallest sigma, and a winner sitting on
-    the grid boundary is logged as a warning (the range was likely too
-    narrow).  Returns ``(best_sigma, curve)`` where the curve rows carry
-    sigma, log2(sigma), the error, the stage, and an error message when a
-    fit failed (such rows are excluded from the argmin).
+    stage: 8 log-spaced points strictly between the coarse winner's
+    neighbors among the grid points that fitted.  Ties resolve to the
+    smallest sigma, and a winner at either end of those points is logged as
+    a warning (the range was likely too narrow); :func:`coarse_winner`
+    makes this decision.  Returns ``(best_sigma, curve)`` where the curve
+    rows carry sigma, log2(sigma), the error, the stage, and an error
+    message when a fit failed (such rows are excluded from the argmin).
     """
     X, _ = ingest_csv(cfg.input_path, cfg.labels_path)
     rank = cfg.ranks[0]
@@ -330,24 +311,35 @@ def grid_search_sigma(cfg: ExperimentConfig):
         return {"sigma": sigma, "log2_sigma": log2_sigma,
                 "error": float(np.mean(errors)), "stage": stage, "failure": None}
 
-    grid = sorted(set(cfg.sigma_grid))
-    curve = [evaluate(sigma, "coarse") for sigma in grid]
-    scored = [row for row in curve if row["failure"] is None]
-    if not scored:
-        raise InternalInvariantError("every coarse grid point failed")
-    best = min(scored, key=lambda row: (row["error"], row["sigma"]))
-    pos = grid.index(best["sigma"])
-    if pos == 0 or pos == len(grid) - 1:
+    curve = [evaluate(sigma, "coarse") for sigma in sorted(set(cfg.sigma_grid))]
+    best, on_boundary, (lo, hi) = coarse_winner(curve)
+    if on_boundary:
         logger.warning(
             "best sigma %g sits on the grid boundary; widen the search range",
             best["sigma"],
         )
-
-    lo = grid[max(pos - 1, 0)]
-    hi = grid[min(pos + 1, len(grid) - 1)]
-    if 0 < lo < hi:
+    if lo < hi:
         for sigma in np.geomspace(lo, hi, 10)[1:-1]:
             curve.append(evaluate(float(sigma), "fine"))
     scored = [row for row in curve if row["failure"] is None]
     best = min(scored, key=lambda row: (row["error"], row["sigma"]))
     return best["sigma"], curve
+
+
+def coarse_winner(curve):
+    """The coarse-stage decision of :func:`grid_search_sigma`.
+
+    Only coarse rows without a failure count.  Returns ``(row, on_boundary,
+    (lo, hi))``: the winning row (smallest error, ties to the smallest
+    sigma), whether it is the smallest or largest scored sigma, and the
+    scored sigmas on either side of it, or its own sigma where it has no
+    neighbour on that side.  The fine stage searches strictly between
+    ``lo`` and ``hi``.
+    """
+    scored = [row for row in curve if row["stage"] == "coarse" and row["failure"] is None]
+    if not scored:
+        raise InternalInvariantError("every coarse grid point failed")
+    best = min(scored, key=lambda row: (row["error"], row["sigma"]))
+    sigmas = sorted(row["sigma"] for row in scored)
+    pos, last = sigmas.index(best["sigma"]), len(sigmas) - 1
+    return best, pos in (0, last), (sigmas[max(pos - 1, 0)], sigmas[min(pos + 1, last)])

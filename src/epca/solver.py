@@ -93,8 +93,9 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     uniform at 1/n); without it alpha stays frozen at 0, which is the
     optimal-mean robust-PCA specialization the baselines reuse.
 
-    Returns a dict with the final W, m, V, residual norms, weight state,
-    the objective and activation-count traces, and the iteration count.
+    Returns a dict with the final W, m, V, weight state, IRLS coefficients
+    and eta, the objective and activation-count traces, and the iteration
+    count.
     """
     if as_integer(max_iter, "max_iter") < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
@@ -140,8 +141,7 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     coeffs = coefficient_kernel(rn, sigma)
     eta = coeffs / comp
     return {
-        "W": W, "m": m, "V": V, "residual_norms": rn, "alpha": alpha_wv,
-        "complements": comp, "irls_coeffs": coeffs, "eta": eta,
+        "W": W, "m": m, "V": V, "alpha": alpha_wv, "irls_coeffs": coeffs, "eta": eta,
         "objective_trace": np.array(trace), "active_count_trace": np.array(ks, dtype=int),
         "iterations": len(trace) - 1,
     }

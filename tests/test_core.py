@@ -1,16 +1,14 @@
 """Tests for the shared containers: DataMatrix, RngHandle, the deterministic
-eigendecomposition, and the weighted column centroid."""
+eigendecomposition."""
 
 import numpy as np
 import pytest
 
 from epca import (
     DataMatrix,
-    DegenerateWeightsError,
     DimensionError,
     RngHandle,
     ValidationError,
-    column_centroid,
     top_eigenpairs,
 )
 
@@ -224,40 +222,3 @@ class TestTopEigenpairsWeighted:
             top_eigenpairs(A, 1, [1.0, -1.0, 1.0])
         with pytest.raises(ValidationError):
             top_eigenpairs(A, 1, [1.0, np.nan, 1.0])
-
-class TestColumnCentroid:
-    def test_unweighted_mean(self):
-        X = DataMatrix(np.array([[0.0, 2.0], [0.0, 2.0]]))
-        np.testing.assert_allclose(column_centroid(X, [1.0, 1.0]), [1.0, 1.0])
-
-    def test_single_active_sample(self):
-        X = DataMatrix(np.array([[0.0, 2.0], [0.0, 2.0]]))
-        np.testing.assert_allclose(column_centroid(X, [1.0, 0.0]), [0.0, 0.0])
-
-    def test_direct_formula(self):
-        X = DataMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-        np.testing.assert_allclose(
-            column_centroid(X, [1.0, 2.0, 3.0]), [4.0 / 6.0, 5.0 / 6.0]
-        )
-
-    def test_uniform_weights_match_arithmetic_mean(self):
-        rng = np.random.default_rng(21)
-        X = DataMatrix(rng.standard_normal((4, 9)))
-        np.testing.assert_allclose(
-            column_centroid(X, np.ones(9)), X.values.mean(axis=1), rtol=1e-14
-        )
-
-    def test_rejects_all_zero_weights(self):
-        X = DataMatrix(np.ones((2, 3)))
-        with pytest.raises(DegenerateWeightsError):
-            column_centroid(X, np.zeros(3))
-
-    def test_rejects_negative_weights(self):
-        X = DataMatrix(np.ones((2, 3)))
-        with pytest.raises(ValidationError):
-            column_centroid(X, [1.0, -1.0, 1.0])
-
-    def test_rejects_length_mismatch(self):
-        X = DataMatrix(np.ones((2, 3)))
-        with pytest.raises(DimensionError):
-            column_centroid(X, [1.0, 1.0])

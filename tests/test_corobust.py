@@ -13,7 +13,6 @@ from epca import (
     InvariantError,
     ValidationError,
     WeightVector,
-    direct_weights,
     objective_value,
     solve_weights,
 )
@@ -165,26 +164,6 @@ class TestWeightVectorInvariants:
     def test_default_complements_fill_in(self):
         wv = WeightVector(np.array([0.25, 0.75, 0.0]), 2, 1.0)
         np.testing.assert_allclose(wv.complements, [0.75, 0.25, 1.0])
-
-
-class TestDirectWeights:
-    def test_half_half(self):
-        wv = solve_weights([1.0, 1.0, 100.0])
-        np.testing.assert_allclose(direct_weights(wv), [2.0, 2.0, 1.0], rtol=1e-14)
-
-    def test_two_thirds_one_third(self):
-        wv = solve_weights([1.0, 4.0, 9.0])
-        np.testing.assert_allclose(direct_weights(wv), [3.0, 1.5, 1.0], rtol=1e-14)
-
-    def test_inactive_samples_map_to_exactly_one(self):
-        rng = np.random.default_rng(8)
-        f = rng.uniform(0.1, 1.0, 10)
-        f[3] = 500.0  # guaranteed inactive
-        wv = solve_weights(f)
-        dw = direct_weights(wv)
-        assert dw[3] == 1.0
-        assert np.all(dw[wv.weights == 0] == 1.0)
-        assert np.all(dw >= 1.0)
 
 
 class TestObjectiveValue:

@@ -13,7 +13,6 @@ from epca import (
     ValidationError,
     clustering_accuracy,
     corrupt,
-    kmeans,
     mean_clustering_accuracy,
     reconstruction_error,
 )
@@ -171,48 +170,27 @@ def _two_blobs(rng, n_per=30, gap=10.0):
 
 
 class TestKmeans:
-    def test_separable_blobs_are_partitioned_perfectly(self):
-        rng = np.random.default_rng(60)
-        pts, truth = _two_blobs(rng)
-        labels = kmeans(pts, 2, restarts=5, rng=RngHandle(1))
-        assert clustering_accuracy(labels, truth) == 1.0
+    """The k-means runs behind ``mean_clustering_accuracy``."""
 
     def test_identical_points_terminate(self):
-        pts = np.ones((3, 8))
-        labels = kmeans(pts, 2, restarts=3, rng=RngHandle(2))
-        assert labels.shape == (8,)
-        assert np.all((labels >= 0) & (labels < 2))
-
-    def test_more_restarts_never_worsen_the_objective(self):
-        def wcss(pts, labels, k):
-            total = 0.0
-            for j in range(k):
-                members = pts[:, labels == j]
-                if members.size:
-                    total += np.sum((members - members.mean(axis=1)[:, None]) ** 2)
-            return total
-
-        rng = np.random.default_rng(61)
-        pts = rng.standard_normal((3, 50))
-        handle = RngHandle(7)
-        one = wcss(pts, kmeans(pts, 4, restarts=1, rng=handle), 4)
-        ten = wcss(pts, kmeans(pts, 4, restarts=10, rng=handle), 4)
-        assert ten <= one + 1e-9 * max(one, 1.0)
-
-    def test_deterministic_from_the_handle(self):
-        rng = np.random.default_rng(62)
-        pts = rng.standard_normal((2, 40))
-        a = kmeans(pts, 3, restarts=4, rng=RngHandle(9))
-        b = kmeans(pts, 3, restarts=4, rng=RngHandle(9))
-        np.testing.assert_array_equal(a, b)
+        truth = LabelVector(np.array([0, 1] * 4), 2)
+        acc = mean_clustering_accuracy(np.ones((3, 8)), truth, restarts=3, rng=RngHandle(2))
+        assert 0.0 <= acc <= 1.0
 
     def test_rejects_more_clusters_than_points(self):
+        truth = LabelVector(np.array([0, 1, 2]), 4)
         with pytest.raises(DimensionError):
-            kmeans(np.ones((2, 3)), 4, restarts=1, rng=RngHandle(0))
+            mean_clustering_accuracy(np.ones((2, 3)), truth, restarts=1, rng=RngHandle(0))
 
     def test_rejects_zero_restarts(self):
+        truth = LabelVector(np.array([0, 1, 1]), 2)
         with pytest.raises(ValidationError):
-            kmeans(np.ones((2, 3)), 2, restarts=0, rng=RngHandle(0))
+            mean_clustering_accuracy(np.ones((2, 3)), truth, restarts=0, rng=RngHandle(0))
+
+    def test_rejects_one_dimensional_coordinates(self):
+        truth = LabelVector(np.array([0, 0, 0, 1, 1, 1]), 2)
+        with pytest.raises(DimensionError, match="2-D"):
+            mean_clustering_accuracy(np.arange(6.0), truth, restarts=1, rng=RngHandle(0))
 
 
 class TestClusteringAccuracy:

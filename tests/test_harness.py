@@ -134,9 +134,10 @@ class TestIngestCsv:
         data = tmp_path / "data.csv"
         data.write_text("1,2\n3,4\n5,6\n")
         labels = tmp_path / "labels.csv"
-        labels.write_text("0\n1\nxx\n")
-        with pytest.raises(IngestionError, match="row 3"):
-            ingest_csv(data, labels)
+        for bad in ("xx", "inf", "1.5", "nan", "1e300"):
+            labels.write_text(f"0\n1\n{bad}\n")
+            with pytest.raises(IngestionError, match="row 3"):
+                ingest_csv(data, labels)
 
 
 class TestExperimentConfig:
@@ -254,16 +255,6 @@ class TestRunExperiment:
         with pytest.raises(DimensionError, match="ranks"):
             run_experiment(cfg)
 
-    def test_thread_pool_does_not_change_the_report(self, tmp_path, monkeypatch):
-        cfg = _config(_data_csv(tmp_path), methods=["classical_pca", "epca"],
-                      sigma_grid=[0.5, 2.0], seeds=[0, 1])
-        monkeypatch.setenv("EPCA_THREADS", "1")
-        base = run_experiment(cfg).canonical_payload()
-        monkeypatch.setenv("EPCA_THREADS", "3")
-        assert run_experiment(cfg).canonical_payload() == base
-        monkeypatch.setenv("EPCA_THREADS", "many")  # falls back to one worker
-        assert run_experiment(cfg).canonical_payload() == base
-
 
 class TestGridSearchSigma:
     def test_curve_covers_the_grid_and_both_stages(self, tmp_path):
@@ -319,7 +310,6 @@ class TestFitHooks:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        monkeypatch.delenv("EPCA_THREADS", raising=False)
         counts = dict.fromkeys(_FITS.values(), 0)
         for name in _FITS.values():
             original = getattr(epca.harness, name)
@@ -433,6 +423,18 @@ class TestCli:
                          "--model", str(model_path), "--out", str(bare_path)]) == 0
         assert json.loads(bare_path.read_text())["mean_accuracy"] is None
 
+    @pytest.mark.parametrize("content", ['{"translation": [0.0, 0.0]}', "not json"],
+                             ids=["no-basis", "not-json"])
+    def test_eval_rejects_a_malformed_model_file(self, tmp_path, capsys, content):
+        data = _data_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(content)
+        code = cli.main(["eval", "--clean", str(data), "--occluded", str(data),
+                         "--model", str(model_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "IngestionError" in err and str(model_path) in err
+
     def test_run_produces_report_and_csv(self, tmp_path):
         inp = _data_csv(tmp_path)
         report_path = tmp_path / "report.json"
@@ -499,3 +501,21 @@ class TestCli:
         lines = curve_path.read_text().strip().splitlines()
         assert lines[0] == "log2_sigma,error,stage,failure"
         assert len(lines) == 1 + 10
+
+    def test_grid_sigma_flag_agrees_with_the_search_log(self, tmp_path, capsys, caplog):
+        # sigma = -1 fails, so 0.01 is the smallest grid point that fitted.
+        inp = _data_csv(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="epca.harness"):
+            code = cli.main(["grid-sigma", "--input", str(inp), "--rank", "2",
+                             "--sigma", "-1.0", "--sigma", "0.01", "--sigma", "100.0",
+                             "--seed", "0"])
+        assert code == 2  # the failed grid point
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["boundary_warning"] is True
+        assert "boundary" in caplog.text
+        assert summary["curve_points"] == 3 + 8  # the fine stage ran
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in epca.__all__ if not hasattr(epca, name)]
+    assert missing == []

@@ -15,11 +15,12 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .core import RngHandle
-from .errors import EpcaError, IngestionError
+from .errors import EpcaError, IngestionError, ValidationError
 from .evaluation import CorruptionSpec, corrupt, mean_clustering_accuracy, reconstruction_error
 from .harness import (
     KNOWN_METHODS,
@@ -121,49 +122,48 @@ def _cmd_eval(args):
     return 0
 
 
-def _load_config_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+# Each run/grid-sigma flag and the config field it sets; the occlusion
+# settings are the fields of CorruptionSpec.
+_FLAG_FIELDS = {
+    "input": "input_path", "labels": "labels_path", "method": "methods", "rank": "ranks",
+    "sigma": "sigma_grid", "seed": "seeds", "corrupt_samples": "sample_fraction",
+    "corrupt_features": "feature_fraction", "shared_features": "shared_features",
+    "restarts": "kmeans_restarts", "tol": "tol", "max_iter": "max_iter",
+}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_CORRUPTION_FIELDS = {f.name for f in fields(CorruptionSpec)} - {"seed"}
 
 
 def _build_config(args, default_sigmas):
-    raw = _load_config_file(args.config) if args.config else {}
-    corruption_raw = raw.get("corruption", {})
+    """Layer the config file over the defaults, then the flags given, into an ``ExperimentConfig``.
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key is not None and key in raw:
-            return raw[key]
-        return default
-
-    input_path = pick(args.input, "input_path", None)
-    if input_path is None:
-        raise EpcaError("an input CSV is required (--input or config input_path)")
-    ranks = pick(args.rank or None, "ranks", None)
-    if not ranks:
-        raise EpcaError("at least one rank is required (--rank or config ranks)")
-    corruption = CorruptionSpec(
-        sample_fraction=pick(args.corrupt_samples, None,
-                             corruption_raw.get("sample_fraction", 0.2)),
-        feature_fraction=pick(args.corrupt_features, None,
-                              corruption_raw.get("feature_fraction", 0.2)),
-        seed=0,
-        shared_features=(args.shared_features
-                         or corruption_raw.get("shared_features", False)),
-    )
-    return ExperimentConfig(
-        input_path=input_path,
-        labels_path=pick(args.labels, "labels_path", None),
-        methods=pick(args.method or None, "methods", list(KNOWN_METHODS)),
-        ranks=ranks,
-        sigma_grid=pick(args.sigma or None, "sigma_grid", default_sigmas),
-        corruption=corruption,
-        seeds=pick(args.seed or None, "seeds", [0]),
-        kmeans_restarts=pick(args.restarts, "kmeans_restarts", 100),
-        tol=pick(args.tol, "tol", 1e-8),
-        max_iter=pick(args.max_iter, "max_iter", 100),
-    )
+    The file's keys must be ``ExperimentConfig`` fields, and those under
+    ``corruption`` fields of ``CorruptionSpec`` other than its seed.
+    """
+    settings = {"methods": list(KNOWN_METHODS), "sigma_grid": default_sigmas, "seeds": [0]}
+    corruption = {"sample_fraction": 0.2, "feature_fraction": 0.2}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:
+            raise IngestionError(f"{args.config}: not a JSON file ({exc})") from None
+        if not (isinstance(raw, dict) and isinstance(raw.get("corruption", {}), dict)):
+            raise IngestionError(f"{args.config}: a config holds a JSON object, corruption too")
+        unknown = sorted(raw.keys() - _CONFIG_FIELDS) + sorted(
+            f"corruption.{key}" for key in raw.get("corruption", {}).keys() - _CORRUPTION_FIELDS)
+        if unknown:
+            raise IngestionError(f"{args.config}: unknown config keys {unknown}")
+        settings.update(raw)
+        corruption.update(settings.pop("corruption", {}))
+    for dest, name in _FLAG_FIELDS.items():
+        value = getattr(args, dest)
+        if value is not None:
+            (corruption if name in _CORRUPTION_FIELDS else settings)[name] = value
+    for name, flag in (("input_path", "--input"), ("ranks", "--rank")):
+        if not settings.get(name):
+            raise ValidationError(f"{name} is required ({flag} or config {name})")
+    return ExperimentConfig(**settings, corruption=CorruptionSpec(seed=0, **corruption))
 
 
 def _cmd_run(args):
@@ -251,7 +251,7 @@ def build_parser():
         p.add_argument("--seed", action="append", type=int)
         p.add_argument("--corrupt-samples", type=float, default=None)
         p.add_argument("--corrupt-features", type=float, default=None)
-        p.add_argument("--shared-features", action="store_true")
+        p.add_argument("--shared-features", action="store_true", default=None)
         p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)

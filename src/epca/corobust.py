@@ -18,7 +18,7 @@ currently fits best while never collapsing onto a single sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

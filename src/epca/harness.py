@@ -8,21 +8,17 @@ import hashlib
 import itertools
 import json
 import logging
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .baselines import fit_classical_pca, fit_pca_om
 from .core import DataMatrix, RngHandle, as_integer
-from .errors import (
-    DimensionError,
-    EpcaError,
-    IngestionError,
-    InternalInvariantError,
-    ValidationError,
-)
+from .errors import DimensionError, IngestionError, InternalInvariantError, ValidationError
 from .evaluation import CorruptionSpec, LabelVector, corrupt, mean_clustering_accuracy, reconstruction_error
 from .sigmaloss import SigmaLossParams
 from .solver import epca_fit
@@ -69,26 +65,23 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
         self.sigma_grid = [float(s) for s in self.sigma_grid]
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = [as_integer(s, "seed") for s in self.seeds]
+        for name in ("kmeans_restarts", "max_iter"):
+            value = as_integer(getattr(self, name), name)
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
+            setattr(self, name, value)
+        if not (isinstance(self.tol, numbers.Real) and 0 <= self.tol < math.inf):
+            raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
 
     def echo(self) -> dict:
-        return {
-            "input_path": str(self.input_path),
-            "labels_path": None if self.labels_path is None else str(self.labels_path),
-            "methods": list(self.methods),
-            "ranks": list(self.ranks),
-            "sigma_grid": list(self.sigma_grid),
-            "corruption": {
-                "sample_fraction": self.corruption.sample_fraction,
-                "feature_fraction": self.corruption.feature_fraction,
-                "shared_features": self.corruption.shared_features,
-                "value_law": self.corruption.value_law,
-            },
-            "seeds": list(self.seeds),
-            "kmeans_restarts": self.kmeans_restarts,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-        }
+        """The settings as plain JSON values; the placeholder corruption seed is left out."""
+        echo = asdict(self)
+        del echo["corruption"]["seed"]
+        echo["input_path"] = str(self.input_path)
+        if self.labels_path is not None:
+            echo["labels_path"] = str(self.labels_path)
+        return echo
 
 
 @dataclass
@@ -103,22 +96,19 @@ class ExperimentReport:
     def any_failures(self) -> bool:
         return any(cell.get("error") for cell in self.cells)
 
-    def payload(self, include_timing: bool = True) -> dict:
-        cells = self.cells
-        if not include_timing:
-            cells = [{k: v for k, v in cell.items() if k != "wall_clock_s"} for cell in cells]
+    def payload(self) -> dict:
         return {
             "config": self.config,
             "library_version": self.library_version,
-            "cells": cells,
+            "cells": self.cells,
         }
-
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.payload(include_timing), sort_keys=True, indent=2)
 
     def canonical_payload(self) -> str:
         """Stable JSON with timing stripped; equal strings mean equal runs."""
-        return self.to_json(include_timing=False)
+        payload = self.payload()
+        payload["cells"] = [{k: v for k, v in cell.items() if k != "wall_clock_s"}
+                            for cell in self.cells]
+        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _parse_cell(cell, row_num, col_num):
@@ -241,6 +231,23 @@ def _run_cell(index, seed, method, rank, sigma, X, X_occ, labels, cfg):
     return cell
 
 
+def _occluded_inputs(cfg, ranks):
+    """The set-up both drivers share: returns ``(X, labels, occluded)``.
+
+    Ingests ``cfg``'s CSV files, rejects ``ranks`` outside ``[1, d - 1]``,
+    and occludes the clean matrix once per seed (``occluded[seed]``).
+    """
+    X, labels = ingest_csv(cfg.input_path, cfg.labels_path)
+    d = X.feature_count
+    bad_ranks = [c for c in ranks if not (1 <= c < d)]
+    if bad_ranks:
+        raise DimensionError(f"ranks {bad_ranks} not in [1, {d - 1}] for d={d}")
+    occluded = {
+        seed: corrupt(X, replace(cfg.corruption, seed=seed))[0] for seed in cfg.seeds
+    }
+    return X, labels, occluded
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full comparison grid.
 
@@ -250,18 +257,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     mean over k-means restarts on the fitted coordinates.  A failing cell is
     recorded in place with its error message; the remaining cells still run.
     """
-    X, labels = ingest_csv(cfg.input_path, cfg.labels_path)
-    bad_ranks = [c for c in cfg.ranks if not (1 <= c < X.feature_count)]
-    if bad_ranks:
-        raise DimensionError(
-            f"ranks {bad_ranks} not in [1, {X.feature_count - 1}] "
-            f"for d={X.feature_count}"
-        )
+    X, labels, occluded = _occluded_inputs(cfg, cfg.ranks)
     clean_digest = hashlib.sha256(X.values.tobytes()).hexdigest()
-
-    occluded = {
-        seed: corrupt(X, replace(cfg.corruption, seed=seed))[0] for seed in cfg.seeds
-    }
     grid = itertools.product(cfg.seeds, cfg.methods, cfg.ranks, cfg.sigma_grid)
     cells = [
         _run_cell(index, seed, method, rank, sigma, X, occluded[seed], labels, cfg)
@@ -282,34 +279,28 @@ def grid_search_sigma(cfg: ExperimentConfig):
     neighbors among the grid points that fitted.  Ties resolve to the
     smallest sigma, and a winner at either end of those points is logged as
     a warning (the range was likely too narrow); :func:`coarse_winner`
-    makes this decision.  Returns ``(best_sigma, curve)`` where the curve
-    rows carry sigma, log2(sigma), the error, the stage, and an error
-    message when a fit failed (such rows are excluded from the argmin).
+    makes this decision.  Each seed is scored by the grid's cell runner, and
+    the first failed cell fails the grid point.  Returns ``(best_sigma,
+    curve)`` where the curve rows carry sigma, log2(sigma), the error, the
+    stage, and that cell's error message (such rows are excluded from the
+    argmin).
     """
-    X, _ = ingest_csv(cfg.input_path, cfg.labels_path)
     rank = cfg.ranks[0]
-    if not (1 <= rank < X.feature_count):
-        raise DimensionError(f"rank {rank} not in [1, {X.feature_count - 1}]")
-    occluded = {
-        seed: corrupt(X, replace(cfg.corruption, seed=seed))[0] for seed in cfg.seeds
-    }
+    X, _, occluded = _occluded_inputs(cfg, [rank])
 
     def evaluate(sigma, stage):
         # A non-positive sigma is still reported as a (failed) curve row.
-        log2_sigma = float(np.log2(sigma)) if sigma > 0 else float("nan")
+        row = {"sigma": sigma, "log2_sigma": float(np.log2(sigma)) if sigma > 0 else float("nan"),
+               "error": None, "stage": stage, "failure": None}
         errors = []
         for seed in cfg.seeds:
-            try:
-                state = epca_fit(occluded[seed], rank, SigmaLossParams(sigma),
-                                 tol=cfg.tol, max_iter=cfg.max_iter)
-            except EpcaError as exc:
-                return {"sigma": sigma, "log2_sigma": log2_sigma,
-                        "error": None, "stage": stage,
-                        "failure": f"seed {seed}: {type(exc).__name__}: {exc}"}
-            errors.append(reconstruction_error(X, occluded[seed],
-                                               state.model.basis, state.model.translation))
-        return {"sigma": sigma, "log2_sigma": log2_sigma,
-                "error": float(np.mean(errors)), "stage": stage, "failure": None}
+            cell = _run_cell(0, seed, "epca", rank, sigma, X, occluded[seed], None, cfg)
+            if cell["error"]:
+                row["failure"] = f"seed {seed}: {cell['error']}"
+                return row
+            errors.append(cell["reconstruction_error"])
+        row["error"] = float(np.mean(errors))
+        return row
 
     curve = [evaluate(sigma, "coarse") for sigma in sorted(set(cfg.sigma_grid))]
     best, on_boundary, (lo, hi) = coarse_winner(curve)

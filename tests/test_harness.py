@@ -2,6 +2,7 @@
 sigma search, report determinism, and the command-line entry points."""
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -174,6 +175,24 @@ class TestExperimentConfig:
         assert echo["labels_path"] is None
         assert echo["corruption"]["sample_fraction"] == 0.2
         assert echo["kmeans_restarts"] == 5
+        assert set(echo) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert "seed" not in echo["corruption"]
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("kmeans_restarts", 0, "kmeans_restarts must be >= 1"),
+        ("kmeans_restarts", 2.5, "kmeans_restarts must be an integer"),
+        ("max_iter", 0, "max_iter must be >= 1"),
+        ("max_iter", 1.5, "max_iter must be an integer"),
+        ("tol", -1e-8, "tol must be finite and >= 0"),
+        ("tol", float("nan"), "tol must be finite and >= 0"),
+        ("tol", float("inf"), "tol must be finite and >= 0"),
+        ("tol", "1e-8", "tol must be finite and >= 0"),
+        ("seeds", [0, 2.5], "seed must be an integer, got 2.5"),
+    ], ids=["restarts-zero", "restarts-fractional", "max_iter-zero", "max_iter-fractional",
+            "tol-negative", "tol-nan", "tol-inf", "tol-string", "seed-fractional"])
+    def test_run_settings_are_checked_when_built(self, setting, value, message):
+        with pytest.raises(ValidationError, match=message):
+            _config("x.csv", **{setting: value})
 
 
 class TestRunExperiment:
@@ -250,10 +269,12 @@ class TestRunExperiment:
             report.cells[0]["reconstruction_error"], direct, rtol=1e-12, atol=0.0
         )
 
-    def test_out_of_range_rank_is_rejected_up_front(self, tmp_path):
+    @pytest.mark.parametrize("driver", [run_experiment, grid_search_sigma],
+                             ids=["run_experiment", "grid_search_sigma"])
+    def test_out_of_range_rank_is_rejected_up_front(self, tmp_path, driver):
         cfg = _config(_data_csv(tmp_path), ranks=[5])  # d == 5, need rank < d
-        with pytest.raises(DimensionError, match="ranks"):
-            run_experiment(cfg)
+        with pytest.raises(DimensionError, match=r"ranks \[5\] not in \[1, 4\] for d=5"):
+            driver(cfg)
 
 
 class TestGridSearchSigma:
@@ -434,6 +455,24 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "IngestionError" in err and str(model_path) in err
+
+    @pytest.mark.parametrize("content, named", [
+        ("not json", "not a JSON file"),
+        ("[1, 2]", "JSON object"),
+        ('{"corruption": [0.2]}', "JSON object"),
+        ('{"kmeans_restart": 5}', "'kmeans_restart'"),
+        ('{"corruption": {"sample_fraction": 0.1, "bogus": 1}}', "'corruption.bogus'"),
+        ('{"corruption": {"seed": 3}}', "'corruption.seed'"),
+    ], ids=["not-json", "list", "corruption-list", "unknown-key", "unknown-corruption-key",
+            "corruption-seed"])
+    def test_run_rejects_a_malformed_config_file(self, tmp_path, capsys, content, named):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content)
+        code = cli.main(["run", "--config", str(config_path),
+                         "--input", str(_data_csv(tmp_path)), "--rank", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "IngestionError" in err and str(config_path) in err and named in err
 
     def test_run_produces_report_and_csv(self, tmp_path):
         inp = _data_csv(tmp_path)

@@ -19,7 +19,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import RngHandle
 from .errors import EpcaError, IngestionError, ValidationError
 from .evaluation import CorruptionSpec, corrupt, mean_clustering_accuracy, reconstruction_error
 from .harness import (
@@ -30,6 +29,7 @@ from .harness import (
     grid_search_sigma,
     ingest_csv,
     run_experiment,
+    scoring_stream,
 )
 from .solver import SubspaceModel, transform
 
@@ -114,9 +114,9 @@ def _cmd_eval(args):
         "mean_accuracy": None,
     }
     if labels is not None:
-        rng = RngHandle(args.seed).derive("eval")
         result["mean_accuracy"] = mean_clustering_accuracy(
-            transform(model, X_occ), labels, args.restarts, rng
+            transform(model, X_occ), labels, args.restarts,
+            scoring_stream(args.seed, model.target_rank),
         )
     _emit(result, args.out)
     return 0
@@ -233,7 +233,9 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="experiment seed; with the model's rank it keys the k-means "
+                        "streams, as in the matching run cell")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
 

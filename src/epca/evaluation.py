@@ -9,12 +9,13 @@ clustering accuracy on the low-dimensional coordinates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import DataMatrix, RngHandle
+from .core import DataMatrix, RngHandle, as_integer
 from .errors import DimensionError, ValidationError
 
 _VALUE_LAW = "uniform-feature-range"
@@ -39,11 +40,11 @@ class CorruptionSpec:
     value_law: str = _VALUE_LAW
 
     def __post_init__(self):
-        if not (0.0 <= self.sample_fraction <= 1.0):
-            raise ValidationError(f"sample_fraction {self.sample_fraction} not in [0, 1]")
-        if not (0.0 <= self.feature_fraction <= 1.0):
-            raise ValidationError(f"feature_fraction {self.feature_fraction} not in [0, 1]")
-        if not (0 <= int(self.seed) < 2**64):
+        for name in ("sample_fraction", "feature_fraction"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+                raise ValidationError(f"{name} must be a real number in [0, 1], got {value!r}")
+        if not (0 <= as_integer(self.seed, "seed") < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         if self.value_law != _VALUE_LAW:
             raise ValidationError(f"unsupported value_law {self.value_law!r}")
@@ -142,27 +143,27 @@ def _kmeans_once(P, k, gen):
         centers[:, j] = P[:, pick]
         d2 = np.minimum(d2, np.sum((P - centers[:, [j]]) ** 2, axis=0))
 
+    sq = np.sum(P * P, axis=0)
     labels = np.full(n, -1)
     for _ in range(300):
-        dists = (
-            np.sum(P * P, axis=0)[None, :]
-            - 2.0 * centers.T @ P
-            + np.sum(centers * centers, axis=0)[:, None]
-        )
+        dists = sq[None, :] - 2.0 * centers.T @ P + np.sum(centers * centers, axis=0)[:, None]
         new_labels = np.argmin(dists, axis=0)
-        # Re-seed empty clusters at the point currently worst-served.
-        for j in range(k):
-            if not np.any(new_labels == j):
-                worst = np.argmax(dists[new_labels, np.arange(n)])
-                centers[:, j] = P[:, worst]
-                new_labels[worst] = j
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            # Re-seed empty clusters at the point currently worst-served.
+            for j in range(k):
+                if not np.any(new_labels == j):
+                    worst = np.argmax(dists[new_labels, np.arange(n)])
+                    centers[:, j] = P[:, worst]
+                    new_labels[worst] = j
+            counts = np.bincount(new_labels, minlength=k)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            members = labels == j
-            if np.any(members):
-                centers[:, j] = P[:, members].mean(axis=1)
+        # A cluster the re-seed emptied again keeps its centre.
+        filled = counts > 0
+        sums = np.array([np.bincount(labels, weights=row, minlength=k) for row in P])
+        centers[:, filled] = sums[:, filled] / counts[filled]
     return labels
 
 

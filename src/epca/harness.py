@@ -3,6 +3,7 @@ sigma grid search, with machine-readable deterministic reports."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import itertools
@@ -36,8 +37,8 @@ class ExperimentConfig:
     from ``seeds`` replaces it, so every seed gets its own occlusion, shared
     by all methods for a fair comparison.  ``sigma_grid`` applies to the
     weighted fit only; the baselines ignore the sigma of their grid cell
-    (their cells simply repeat the same result so the report grid stays
-    complete).
+    (each baseline is fitted and scored once per seed and rank, and its
+    cells repeat that one result so the report grid stays complete).
     """
 
     input_path: str
@@ -52,18 +53,25 @@ class ExperimentConfig:
     max_iter: int = 100
 
     def __post_init__(self):
+        for name in ("methods", "ranks", "sigma_grid", "seeds"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValidationError(
+                    f"{name} must be a list, got {getattr(self, name)!r}")
         if not self.methods:
             raise ValidationError("methods must be non-empty")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}; known: {KNOWN_METHODS}")
-        self.ranks = [as_integer(c, "rank c") for c in self.ranks or []]
+        self.ranks = [as_integer(c, "rank c") for c in self.ranks]
         if not self.ranks or min(self.ranks) < 1:
             raise ValidationError("ranks must be a non-empty list of positive integers")
         if not self.sigma_grid:
             raise ValidationError("sigma_grid must be non-empty")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
+        bad_sigmas = [s for s in self.sigma_grid if not isinstance(s, numbers.Real)]
+        if bad_sigmas:
+            raise ValidationError(f"sigma_grid entries must be real numbers, got {bad_sigmas}")
         self.sigma_grid = [float(s) for s in self.sigma_grid]
         self.seeds = [as_integer(s, "seed") for s in self.seeds]
         for name in ("kmeans_restarts", "max_iter"):
@@ -191,6 +199,13 @@ def fit_method(method, X, rank, sigma, tol, max_iter):
     iterative fits.  The fits are looked up as module globals at call time,
     so a wrapper installed on ``epca.harness.<fit>`` sees every call.
     """
+    # A fit's last bits depend on the memory order of X (a row mean sums a
+    # C-ordered row pairwise, an F-ordered one column by column).  Fit in C
+    # order, the order `corrupt` returns, so `epca fit` on a CSV file (read
+    # in F order) gives the bits of the grid cell with the same values.
+    X = X if isinstance(X, DataMatrix) else DataMatrix(X)
+    if not X.values.flags.c_contiguous:
+        X = DataMatrix(np.ascontiguousarray(X.values))
     if method == "classical_pca":
         model, k_trace = fit_classical_pca(X, rank), []
     elif method == "pca_om":
@@ -203,32 +218,43 @@ def fit_method(method, X, rank, sigma, tol, max_iter):
     return model, max(len(model.objective_trace) - 1, 0), k_trace
 
 
-def _run_cell(index, seed, method, rank, sigma, X, X_occ, labels, cfg):
-    cell = {
-        "index": index, "seed": seed, "method": method, "rank": rank, "sigma": sigma,
-        "reconstruction_error": None, "mean_accuracy": None,
-        "active_count_trace": None, "iterations": None,
-        "wall_clock_s": None, "error": None,
-    }
+def scoring_stream(seed, rank) -> RngHandle:
+    """The k-means stream that scores a rank-``rank`` model under experiment ``seed``.
+
+    Every method and sigma at one ``(seed, rank)`` clusters from the same
+    restart streams, so their accuracies are paired; ``epca eval`` uses the
+    same stream to reproduce a grid cell.
+    """
+    return RngHandle(seed).derive("score", rank)
+
+
+def _fit_and_score(seed, method, rank, sigma, X, X_occ, labels, cfg):
+    """Fit one method on ``X_occ`` and score it; returns the cell's result fields.
+
+    A failure is recorded in ``error`` with the fields not yet computed left
+    ``None``; ``wall_clock_s`` times the whole step.
+    """
+    result = {"reconstruction_error": None, "mean_accuracy": None,
+              "active_count_trace": None, "iterations": None,
+              "wall_clock_s": None, "error": None}
     start = time.perf_counter()
     try:
         model, iterations, k_trace = fit_method(
             method, X_occ, rank, sigma, cfg.tol, cfg.max_iter
         )
-        cell["reconstruction_error"] = reconstruction_error(
+        result["reconstruction_error"] = reconstruction_error(
             X, X_occ, model.basis, model.translation
         )
-        cell["iterations"] = iterations
-        cell["active_count_trace"] = k_trace
+        result["iterations"] = iterations
+        result["active_count_trace"] = k_trace
         if labels is not None:
-            rng = RngHandle(seed).derive("cell", index)
-            cell["mean_accuracy"] = mean_clustering_accuracy(
-                model.coordinates, labels, cfg.kmeans_restarts, rng
+            result["mean_accuracy"] = mean_clustering_accuracy(
+                model.coordinates, labels, cfg.kmeans_restarts, scoring_stream(seed, rank)
             )
     except Exception as exc:  # record the failure in place, keep the grid running
-        cell["error"] = f"{type(exc).__name__}: {exc}"
-    cell["wall_clock_s"] = time.perf_counter() - start
-    return cell
+        result["error"] = f"{type(exc).__name__}: {exc}"
+    result["wall_clock_s"] = time.perf_counter() - start
+    return result
 
 
 def _occluded_inputs(cfg, ranks):
@@ -254,16 +280,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Per seed the input is occluded once and shared by every method/rank/sigma
     cell; models are fitted on the occluded matrix, errors are measured
     against the clean one, and clustering accuracy (when labels exist) is the
-    mean over k-means restarts on the fitted coordinates.  A failing cell is
-    recorded in place with its error message; the remaining cells still run.
+    mean over k-means restarts on the fitted coordinates, drawn from
+    :func:`scoring_stream`.  Each distinct fit, ``(seed, method, rank)`` plus
+    sigma for ``epca``, is fitted and scored once and copied into every cell
+    that shares it, ``wall_clock_s`` included.  A failing fit is recorded in
+    its cells with its error message; the remaining cells still run.
     """
     X, labels, occluded = _occluded_inputs(cfg, cfg.ranks)
     clean_digest = hashlib.sha256(X.values.tobytes()).hexdigest()
     grid = itertools.product(cfg.seeds, cfg.methods, cfg.ranks, cfg.sigma_grid)
-    cells = [
-        _run_cell(index, seed, method, rank, sigma, X, occluded[seed], labels, cfg)
-        for index, (seed, method, rank, sigma) in enumerate(grid)
-    ]
+    results = {}  # one fit-and-score per distinct fit; the baselines ignore sigma
+    cells = []
+    for index, (seed, method, rank, sigma) in enumerate(grid):
+        key = (seed, method, rank, sigma if method == "epca" else None)
+        if key not in results:
+            results[key] = _fit_and_score(
+                seed, method, rank, sigma, X, occluded[seed], labels, cfg
+            )
+        cells.append({"index": index, "seed": seed, "method": method, "rank": rank,
+                      "sigma": sigma, **copy.deepcopy(results[key])})
 
     if hashlib.sha256(X.values.tobytes()).hexdigest() != clean_digest:
         raise InternalInvariantError("the clean input matrix was mutated during the run")
@@ -279,10 +314,10 @@ def grid_search_sigma(cfg: ExperimentConfig):
     neighbors among the grid points that fitted.  Ties resolve to the
     smallest sigma, and a winner at either end of those points is logged as
     a warning (the range was likely too narrow); :func:`coarse_winner`
-    makes this decision.  Each seed is scored by the grid's cell runner, and
-    the first failed cell fails the grid point.  Returns ``(best_sigma,
+    makes this decision.  Each seed is scored by the grid's fit-and-score
+    step, and the first failed seed fails the grid point.  Returns ``(best_sigma,
     curve)`` where the curve rows carry sigma, log2(sigma), the error, the
-    stage, and that cell's error message (such rows are excluded from the
+    stage, and that seed's error message (such rows are excluded from the
     argmin).
     """
     rank = cfg.ranks[0]
@@ -294,11 +329,11 @@ def grid_search_sigma(cfg: ExperimentConfig):
                "error": None, "stage": stage, "failure": None}
         errors = []
         for seed in cfg.seeds:
-            cell = _run_cell(0, seed, "epca", rank, sigma, X, occluded[seed], None, cfg)
-            if cell["error"]:
-                row["failure"] = f"seed {seed}: {cell['error']}"
+            result = _fit_and_score(seed, "epca", rank, sigma, X, occluded[seed], None, cfg)
+            if result["error"]:
+                row["failure"] = f"seed {seed}: {result['error']}"
                 return row
-            errors.append(cell["reconstruction_error"])
+            errors.append(result["reconstruction_error"])
         row["error"] = float(np.mean(errors))
         return row
 

@@ -3,8 +3,11 @@
 Everything here is deliberately implemented from first principles (no reuse
 of package internals): a projected-gradient minimizer over the simplex, a
 brute-force activation-count scan, dense grid search for 1-D location
-problems, and subspace comparison via principal angles.
+problems, subspace comparison via principal angles, and a point-by-point
+k-means++/Lloyd run.
 """
+
+import math
 
 import numpy as np
 
@@ -90,3 +93,56 @@ def align_basis_signs(W_ref, W):
     signs = np.sign(np.sum(W_ref * W, axis=0))
     signs[signs == 0] = 1.0
     return W * signs
+
+
+def kmeans_oracle(P, k, gen, max_iter=300):
+    """k-means++ seeding then Lloyd iterations, one point and one centre at a time.
+
+    ``P`` holds the points as columns.  The draws from ``gen`` are the
+    library's: the first centre is ``gen.integers(n)``, each later one
+    ``gen.choice(n, p=D2 / sum(D2))`` over the squared distances to the
+    nearest centre so far (``gen.integers(n)`` again when every point sits
+    on a centre).  Each assignment takes the first nearest centre.  Then each
+    empty cluster, in index order, is re-seeded at the point farthest from
+    its assigned centre (distances as computed before any re-seed of that
+    iteration; the first such point), and that point joins it.  The run
+    stops when the assignment repeats; a cluster left empty keeps its centre.
+    Returns ``(labels, reseeds)``: the labels as a list and how many
+    re-seeds happened.
+    """
+    P = np.asarray(P, dtype=float)
+    n = P.shape[1]
+    points = [[float(v) for v in P[:, i]] for i in range(n)]
+
+    def sq_dist(a, b):
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+
+    centres = []
+    nearest = [math.inf] * n
+    for j in range(k):
+        total = sum(nearest) if j else 0.0
+        if total > 0:
+            pick = int(gen.choice(n, p=np.array(nearest) / total))
+        else:
+            pick = int(gen.integers(n))
+        centres.append(list(points[pick]))
+        nearest = [min(nearest[i], sq_dist(points[i], centres[j])) for i in range(n)]
+
+    labels, reseeds = None, 0
+    for _ in range(max_iter):
+        dist = [[sq_dist(points[i], centres[j]) for j in range(k)] for i in range(n)]
+        assigned = [min(range(k), key=lambda j: dist[i][j]) for i in range(n)]
+        for j in range(k):
+            if j not in assigned:
+                worst = max(range(n), key=lambda i: dist[i][assigned[i]])
+                centres[j] = list(points[worst])
+                assigned[worst] = j
+                reseeds += 1
+        if assigned == labels:
+            break
+        labels = assigned
+        for j in range(k):
+            members = [points[i] for i in range(n) if labels[i] == j]
+            if members:
+                centres[j] = [sum(coords) / len(members) for coords in zip(*members)]
+    return labels, reseeds

@@ -16,6 +16,8 @@ from epca import (
     mean_clustering_accuracy,
     reconstruction_error,
 )
+from epca.evaluation import _kmeans_once
+from oracles import kmeans_oracle
 
 
 class TestCorruptionSpec:
@@ -191,6 +193,25 @@ class TestKmeans:
         truth = LabelVector(np.array([0, 0, 0, 1, 1, 1]), 2)
         with pytest.raises(DimensionError, match="2-D"):
             mean_clustering_accuracy(np.arange(6.0), truth, restarts=1, rng=RngHandle(0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lloyd_run_matches_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        centres = 4.0 * rng.standard_normal((3, 4))
+        P = centres[:, rng.integers(4, size=60)] + rng.standard_normal((3, 60))
+        stream = RngHandle(seed).derive("kmeans", 0)
+        expected, _ = kmeans_oracle(P, 4, stream.generator())
+        assert _kmeans_once(P, 4, stream.generator()).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_cluster_reseed_matches_the_reference(self, seed):
+        # Four locations, each twice, and six clusters: k-means++ runs out of
+        # distinct points, so clusters start empty and one stays empty.
+        P = np.repeat(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [5.0, 5.0]]).T, 2, axis=1)
+        stream = RngHandle(seed).derive("kmeans", 0)
+        expected, reseeds = kmeans_oracle(P, 6, stream.generator())
+        assert reseeds > 0
+        assert _kmeans_once(P, 6, stream.generator()).tolist() == expected
 
 
 class TestClusteringAccuracy:

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: CSV ingestion, the comparison grid,
 sigma search, report determinism, and the command-line entry points."""
 
+import copy
 import csv
 import dataclasses
 import json
@@ -57,6 +58,20 @@ def _data_csv(tmp_path, seed=11, **kwargs):
     path = tmp_path / "data.csv"
     _write_csv(path, _low_rank(np.random.default_rng(seed), **kwargs))
     return path
+
+
+def _labelled_files(tmp_path, seed=3):
+    X, labels = _blob_pair(np.random.default_rng(seed))
+    data = tmp_path / "blobs.csv"
+    _write_csv(data, X)
+    label_path = tmp_path / "labels.csv"
+    label_path.write_text("".join(f"{y}\n" for y in labels))
+    return data, label_path
+
+
+def _labelled_config(tmp_path, **overrides):
+    data, label_path = _labelled_files(tmp_path)
+    return _config(data, labels_path=str(label_path), **overrides)
 
 
 def _config(input_path, **overrides):
@@ -188,10 +203,23 @@ class TestExperimentConfig:
         ("tol", float("inf"), "tol must be finite and >= 0"),
         ("tol", "1e-8", "tol must be finite and >= 0"),
         ("seeds", [0, 2.5], "seed must be an integer, got 2.5"),
+        ("methods", "epca", "methods must be a list, got 'epca'"),
+        ("ranks", 3, "ranks must be a list, got 3"),
+        ("sigma_grid", "1.0", "sigma_grid must be a list, got '1.0'"),
+        ("sigma_grid", [1.0, "2"], r"sigma_grid entries must be real numbers, got \['2'\]"),
+        ("seeds", 5, "seeds must be a list, got 5"),
+        ("corruption", ("a", 0.2, 0), "sample_fraction must be a real number in \\[0, 1\\], got 'a'"),
+        ("corruption", (0.2, None, 0), "feature_fraction must be a real number"),
+        ("corruption", (0.2, 0.2, "x"), "seed must be an integer, got 'x'"),
     ], ids=["restarts-zero", "restarts-fractional", "max_iter-zero", "max_iter-fractional",
-            "tol-negative", "tol-nan", "tol-inf", "tol-string", "seed-fractional"])
+            "tol-negative", "tol-nan", "tol-inf", "tol-string", "seed-fractional",
+            "methods-string", "ranks-int", "sigma_grid-string", "sigma_grid-entry",
+            "seeds-int", "sample_fraction-string", "feature_fraction-none",
+            "corruption_seed-string"])
     def test_run_settings_are_checked_when_built(self, setting, value, message):
         with pytest.raises(ValidationError, match=message):
+            if setting == "corruption":
+                value = CorruptionSpec(*value)
             _config("x.csv", **{setting: value})
 
 
@@ -227,13 +255,7 @@ class TestRunExperiment:
         assert '"wall_clock_s"' not in first
 
     def test_labels_fill_mean_accuracy(self, tmp_path):
-        rng = np.random.default_rng(3)
-        X, labels = _blob_pair(rng)
-        data = tmp_path / "blobs.csv"
-        _write_csv(data, X)
-        label_path = tmp_path / "labels.csv"
-        label_path.write_text("".join(f"{y}\n" for y in labels))
-        cfg = _config(data, labels_path=str(label_path), methods=["epca"])
+        cfg = _labelled_config(tmp_path, methods=["epca"])
         report = run_experiment(cfg)
         acc = report.cells[0]["mean_accuracy"]
         assert acc is not None
@@ -251,12 +273,41 @@ class TestRunExperiment:
         assert report.any_failures
 
     def test_baseline_cells_ignore_the_sigma_axis(self, tmp_path):
-        cfg = _config(_data_csv(tmp_path), methods=["pca_om"],
-                      sigma_grid=[0.5, 2.0])
+        # One fit and one scoring per (seed, rank), copied to every sigma
+        # cell, its wall_clock_s included.
+        cfg = _labelled_config(tmp_path, methods=["classical_pca", "pca_om"],
+                               ranks=[1, 2], sigma_grid=[0.5, 2.0, 8.0], seeds=[0, 1])
         report = run_experiment(cfg)
-        errs = [cell["reconstruction_error"] for cell in report.cells]
-        assert len(errs) == 2
-        assert errs[0] == errs[1]
+        assert len(report.cells) == 2 * 2 * 2 * 3
+        shared = {}
+        for cell in report.cells:
+            assert cell["mean_accuracy"] is not None
+            rest = {k: v for k, v in cell.items() if k not in ("index", "sigma")}
+            shared.setdefault((cell["seed"], cell["method"], cell["rank"]), []).append(rest)
+        for cells in shared.values():
+            assert len(cells) == 3
+            assert cells[0] == cells[1] == cells[2]
+
+    def test_methods_at_one_seed_and_rank_draw_the_same_first_pick(self, tmp_path, monkeypatch):
+        # The k-means++ first centre is a uniform draw: record, per k-means
+        # run, the index that draw gives.
+        picks = []
+        kmeans_once = epca.evaluation._kmeans_once
+
+        def recording(P, k, gen):
+            picks.append((P.shape[0], int(copy.deepcopy(gen).integers(P.shape[1]))))
+            return kmeans_once(P, k, gen)
+
+        monkeypatch.setattr(epca.evaluation, "_kmeans_once", recording)
+        cfg = _labelled_config(tmp_path, methods=["classical_pca", "epca", "pca_om"],
+                               ranks=[1, 2], sigma_grid=[0.5, 2.0], seeds=[4])
+        assert not run_experiment(cfg).any_failures
+        restarts = cfg.kmeans_restarts
+        for rank in (1, 2):
+            runs = [pick for r, pick in picks if r == rank]
+            assert len(runs) == 4 * restarts  # classical, epca at two sigmas, pca_om
+            by_fit = [runs[i:i + restarts] for i in range(0, len(runs), restarts)]
+            assert all(fit == by_fit[0] for fit in by_fit)
 
     def test_zero_fraction_cell_matches_direct_evaluation(self, tmp_path):
         path = _data_csv(tmp_path)
@@ -342,11 +393,12 @@ class TestFitHooks:
             monkeypatch.setattr(epca.harness, name, counting)
         return counts
 
-    def test_run_experiment_reaches_each_fit_once_per_cell(self, tmp_path, counts):
+    def test_run_experiment_reaches_each_fit_once_per_distinct_fit(self, tmp_path, counts):
         cfg = _config(_data_csv(tmp_path), methods=["classical_pca", "epca", "pca_om"],
                       ranks=[1, 2], sigma_grid=[0.5, 2.0, 8.0], seeds=[0, 1])
         assert not run_experiment(cfg).any_failures
-        assert counts == dict.fromkeys(_FITS.values(), 2 * 3 * 2)
+        # epca once per (seed, rank, sigma); the baselines once per (seed, rank).
+        assert counts == {"epca_fit": 2 * 2 * 3, "fit_classical_pca": 2 * 2, "fit_pca_om": 2 * 2}
 
     @pytest.mark.parametrize("method", sorted(_FITS))
     def test_cli_fit_reaches_only_its_fit(self, tmp_path, counts, method):
@@ -444,6 +496,28 @@ class TestCli:
                          "--model", str(model_path), "--out", str(bare_path)]) == 0
         assert json.loads(bare_path.read_text())["mean_accuracy"] is None
 
+    @pytest.mark.parametrize("method", sorted(_FITS))
+    def test_eval_reproduces_the_matching_run_cell(self, tmp_path, method):
+        clean, label_path = _labelled_files(tmp_path, seed=5)
+        occluded, model_path = tmp_path / "occluded.csv", tmp_path / "model.json"
+        assert cli.main(["corrupt", "--input", str(clean), "--seed", "7",
+                         "--out", str(occluded)]) == 0
+        assert cli.main(["fit", "--input", str(occluded), "--method", method,
+                         "--rank", "2", "--out", str(model_path)]) == 0
+        scores_path, report_path = tmp_path / "scores.json", tmp_path / "report.json"
+        assert cli.main(["eval", "--clean", str(clean), "--occluded", str(occluded),
+                         "--model", str(model_path), "--labels", str(label_path),
+                         "--seed", "7", "--restarts", "5", "--out", str(scores_path)]) == 0
+        # The run's rank-1 cell scores from another stream; eval takes the
+        # rank from the model.
+        assert cli.main(["run", "--input", str(clean), "--labels", str(label_path),
+                         "--method", method, "--rank", "1", "--rank", "2", "--seed", "7",
+                         "--restarts", "5", "--out", str(report_path)]) == 0
+        scores = json.loads(scores_path.read_text())
+        cell = json.loads(report_path.read_text())["cells"][1]
+        assert cell["rank"] == 2
+        assert scores == {name: cell[name] for name in ("reconstruction_error", "mean_accuracy")}
+
     @pytest.mark.parametrize("content", ['{"translation": [0.0, 0.0]}', "not json"],
                              ids=["no-basis", "not-json"])
     def test_eval_rejects_a_malformed_model_file(self, tmp_path, capsys, content):
@@ -463,8 +537,11 @@ class TestCli:
         ('{"kmeans_restart": 5}', "'kmeans_restart'"),
         ('{"corruption": {"sample_fraction": 0.1, "bogus": 1}}', "'corruption.bogus'"),
         ('{"corruption": {"seed": 3}}', "'corruption.seed'"),
+        ('{"seeds": 5}', "ValidationError: seeds must be a list, got 5"),
+        ('{"corruption": {"sample_fraction": "a"}}',
+         "ValidationError: sample_fraction must be a real number in [0, 1], got 'a'"),
     ], ids=["not-json", "list", "corruption-list", "unknown-key", "unknown-corruption-key",
-            "corruption-seed"])
+            "corruption-seed", "seeds-int", "sample_fraction-string"])
     def test_run_rejects_a_malformed_config_file(self, tmp_path, capsys, content, named):
         config_path = tmp_path / "config.json"
         config_path.write_text(content)
@@ -472,7 +549,9 @@ class TestCli:
                          "--input", str(_data_csv(tmp_path)), "--rank", "2"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "IngestionError" in err and str(config_path) in err and named in err
+        if not named.startswith("ValidationError"):  # a value of the wrong type
+            assert "IngestionError" in err and str(config_path) in err
+        assert named in err
 
     def test_run_produces_report_and_csv(self, tmp_path):
         inp = _data_csv(tmp_path)

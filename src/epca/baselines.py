@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DataMatrix, check_rank, top_eigenpairs
-from .errors import ValidationError
+from .sigmaloss import SigmaLossParams
 from .solver import SubspaceModel, _alternate
 
 
@@ -16,7 +16,7 @@ def fit_classical_pca(X: DataMatrix, c: int) -> SubspaceModel:
     m = X.values.mean(axis=1)
     Xc = X.values - m[:, None]
     _, W = top_eigenpairs(Xc, c, np.ones(X.sample_count))
-    return SubspaceModel(W, m, c, W.T @ Xc)
+    return SubspaceModel(W, m, W.T @ Xc)
 
 
 def fit_pca_om(X: DataMatrix, c: int, tol: float = 1e-8, max_iter: int = 100,
@@ -31,7 +31,5 @@ def fit_pca_om(X: DataMatrix, c: int, tol: float = 1e-8, max_iter: int = 100,
     """
     X = X if isinstance(X, DataMatrix) else DataMatrix(X)
     c = check_rank(c, X.feature_count - 1)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValidationError("sigma must be a positive finite real")
-    out = _alternate(X.values, c, sigma, tol, max_iter, learn_alpha=False)
-    return SubspaceModel(out["W"], out["m"], c, out["V"], out["objective_trace"])
+    sigma = SigmaLossParams(sigma).sigma
+    return _alternate(X.values, c, sigma, tol, max_iter, learn_alpha=False).model

@@ -95,8 +95,7 @@ def _load_model(path):
             raw = json.load(fh)
         basis = np.array(raw["basis"], dtype=float)
         translation = np.array(raw["translation"], dtype=float)
-        rank = basis.shape[1]
-        return SubspaceModel(basis, translation, rank, np.empty((rank, 0)))
+        return SubspaceModel(basis, translation, np.empty((basis.shape[1], 0)))
     except (EpcaError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(
             f"{path}: not a model file ({type(exc).__name__}: {exc})"

@@ -1,5 +1,5 @@
 """Shared containers: data matrices, seeded RNG streams, and the deterministic
-symmetric eigendecomposition used by every subspace method in the package."""
+weighted-scatter eigendecomposition used by every subspace method in the package."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
-_SYMMETRY_RTOL = 1e-10
 _EPS = np.finfo(float).eps
 
 
@@ -20,13 +19,16 @@ class DataMatrix:
     """Dense real matrix whose columns are samples.
 
     ``values`` has shape (d, n): d features (rows) by n samples (columns).
-    Entries must be finite and there must be at least two samples.
+    Entries must be finite and there must be at least two samples.  The
+    values are stored in C memory order, because a fit's last bits depend on
+    the order (a row mean sums a C-ordered row pairwise, an F-ordered one
+    column by column).
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.ascontiguousarray(self.values, dtype=float)
         if arr.ndim != 2:
             raise DimensionError(f"expected a 2-D matrix, got ndim={arr.ndim}")
         d, n = arr.shape
@@ -62,21 +64,23 @@ class RngHandle:
     path: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
+        seed = as_integer(self.seed, "seed")
+        if not 0 <= seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", seed)
 
     def derive(self, *keys) -> "RngHandle":
         """Child handle for a sub-task; keys may be ints or short strings."""
         coerced = []
         for key in keys:
             if isinstance(key, str):
-                coerced.append(zlib.crc32(key.encode("utf-8")))
-            elif 0 <= int(key) < 2**32:
-                coerced.append(int(key))
-            else:
+                key = zlib.crc32(key.encode("utf-8"))
+            key = as_integer(key, "derivation key")
+            if not 0 <= key < 2**32:
                 raise ValidationError(
                     f"integer derivation keys must fit in 32 bits, got {key!r}"
                 )
+            coerced.append(key)
         return RngHandle(self.seed, self.path + tuple(coerced))
 
     def generator(self) -> np.random.Generator:
@@ -85,8 +89,7 @@ class RngHandle:
         # 32-bit path words) maps distinct handles to distinct sequences even
         # though SeedSequence ignores trailing zero words: the length word
         # pins how many path entries follow.
-        seed = int(self.seed)
-        entropy = [seed & 0xFFFFFFFF, seed >> 32, len(self.path), *self.path]
+        entropy = [self.seed & 0xFFFFFFFF, self.seed >> 32, len(self.path), *self.path]
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -106,26 +109,23 @@ def check_rank(c, limit: int) -> int:
     return c
 
 
-def top_eigenpairs(A: np.ndarray, c: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenpairs of a symmetric matrix or a weighted scatter, under a fixed gauge.
+def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenpairs of a weighted scatter, under a fixed gauge.
 
-    Returns ``(eigenvalues, eigenvectors)`` with the c largest eigenvalues in
-    descending order and eigenvectors as the columns of a d-by-c orthonormal
-    matrix.  There are two forms:
+    ``A`` is a d-by-n matrix (the solvers pass centred data) and ``weights``
+    holds n nonnegative weights; the eigenpairs are those of the scatter
+    ``(A * weights) @ A.T``.  Returns ``(eigenvalues, eigenvectors)`` with
+    the c largest eigenvalues in descending order and eigenvectors as the
+    columns of a d-by-c orthonormal matrix.
 
-    * ``weights=None``: ``A`` is a symmetric d-by-d matrix, decomposed by a
-      full ``eigh``.
-    * ``weights=eta``: ``A`` is a d-by-n matrix (the solvers pass centred
-      data) and ``eta`` holds n nonnegative weights; the eigenpairs are those
-      of the scatter ``(A * eta) @ A.T``.  When ``c < n < d`` they are the
-      left singular vectors of ``A * sqrt(eta)`` and its squared singular
-      values, from a thin SVD at O(d n^2) instead of the O(d^3) ``eigh``.
-      Otherwise, and whenever the gap between the c-th and (c+1)-th
-      eigenvalue is within rounding of zero (an exact tie, or c above the
-      rank of the data, where the two routes may pick different equally
-      valid subspaces), the scatter is built and decomposed as in the first
-      form, so the result is bit-identical to it.  The scatter is
-      ``A @ A.T`` for unit weights and ``(A * eta) @ A.T`` otherwise.
+    When ``c < n < d`` the eigenpairs are the left singular vectors of
+    ``A * sqrt(weights)`` and its squared singular values, from a thin SVD at
+    O(d n^2) instead of the O(d^3) ``eigh``.  Otherwise, and whenever the gap
+    between the c-th and (c+1)-th eigenvalue is within rounding of zero (an
+    exact tie, or c above the rank of the data, where the two routes may pick
+    different equally valid subspaces), the scatter is built and decomposed
+    by a full ``eigh``.  The scatter is ``A @ A.T`` for unit weights and
+    ``(A * weights) @ A.T`` otherwise.
 
     The gauge convention makes the output reproducible:
 
@@ -138,8 +138,6 @@ def top_eigenpairs(A: np.ndarray, c: int, weights=None) -> tuple[np.ndarray, np.
     between runs; an arbitrary eigenvector sign would break them.
     """
     A = np.asarray(A, dtype=float)
-    if weights is None:
-        return _symmetric_top_eigenpairs(A, c)
     if A.ndim != 2:
         raise DimensionError(f"expected a 2-D data matrix, got ndim={A.ndim}")
     d, n = A.shape
@@ -163,19 +161,13 @@ def top_eigenpairs(A: np.ndarray, c: int, weights=None) -> tuple[np.ndarray, np.
     # numpy forms A @ A.T by a symmetric rank-k update, at half the cost
     # of the general product.
     S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T
-    return _symmetric_top_eigenpairs(S, c)
+    return _dense_top_eigenpairs(S, c)
 
 
-def _symmetric_top_eigenpairs(S, c):
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {S.shape}")
-    c = check_rank(c, S.shape[0])
+def _dense_top_eigenpairs(S, c):
+    """Top-c eigenpairs of the d-by-d scatter ``S`` by a full ``eigh``, gauged."""
     if not np.all(np.isfinite(S)):
         raise ValidationError("matrix entries must be finite")
-    scale = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > _SYMMETRY_RTOL * max(scale, 1.0):
-        raise ValidationError("matrix is not symmetric within tolerance")
-
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     order = np.argsort(evals, kind="stable")[::-1]
     evals, evecs = _apply_gauge(evals[order], evecs[:, order])

@@ -80,16 +80,16 @@ class WeightVector:
                 raise DimensionError("complements shape must match weights")
 
 
-def solve_weights(losses, zero_floor: float | None = None) -> WeightVector:
+def solve_weights(losses) -> WeightVector:
     """Minimize sum_i f_i / (1 - w_i) over the probability simplex.
 
     Degenerate losses follow the framework's own remedies:
 
     * several losses exactly zero -> uniform weights on the zero set (any
       split of the mass there is optimal and costs nothing);
-    * exactly one loss zero -> that loss is floored to ``zero_floor``
-      (default 1e-12 times the largest loss) and the regular path runs,
-      because the untouched problem has no attained minimum.
+    * exactly one loss zero -> that loss is floored to 1e-12 times the
+      largest loss and the regular path runs, because the untouched problem
+      has no attained minimum.
 
     A loss can also be *numerically* zero: so small that its square root is
     below the float resolution of the multiplier's partial sums, which makes
@@ -105,11 +105,9 @@ def solve_weights(losses, zero_floor: float | None = None) -> WeightVector:
         raise ValidationError("losses must be finite")
     if np.any(f < 0):
         raise ValidationError("losses must be nonnegative")
-    if zero_floor is not None and not (np.isfinite(zero_floor) and zero_floor > 0):
-        raise ValidationError("zero_floor must be a small positive real")
 
     for attempt in range(2):
-        result = _solve_positive_or_degenerate(f, zero_floor)
+        result = _solve_positive_or_degenerate(f)
         if result is not None:
             return result
         # Strict scan failed: clamp relatively-zero losses and retry once.
@@ -122,7 +120,7 @@ def solve_weights(losses, zero_floor: float | None = None) -> WeightVector:
     )
 
 
-def _solve_positive_or_degenerate(f, zero_floor):
+def _solve_positive_or_degenerate(f):
     """One solve attempt; returns None when the strict k-scan finds nothing."""
     n = f.size
     zero = f == 0.0
@@ -135,9 +133,8 @@ def _solve_positive_or_degenerate(f, zero_floor):
     if n_zero == 1:
         f = f.copy()
         floor_idx = int(np.nonzero(zero)[0][0])
-        fmax = f.max()
-        floor = zero_floor if zero_floor is not None else 1e-12 * (fmax if fmax > 0 else 1.0)
-        f[floor_idx] = floor
+        # The other losses are positive, so the floor is too.
+        f[floor_idx] = 1e-12 * f.max()
 
     order = np.argsort(f, kind="stable")
     s = np.sqrt(f[order])

@@ -18,8 +18,6 @@ from scipy.optimize import linear_sum_assignment
 from .core import DataMatrix, RngHandle, as_integer
 from .errors import DimensionError, ValidationError
 
-_VALUE_LAW = "uniform-feature-range"
-
 
 @dataclass(frozen=True)
 class CorruptionSpec:
@@ -30,14 +28,13 @@ class CorruptionSpec:
     corrupted sample draws its own feature subset unless ``shared_features``
     is set, in which case one subset is drawn and reused for all corrupted
     samples.  Replacement values are uniform over the observed [min, max] of
-    the feature in the clean matrix (the only supported ``value_law``).
+    the feature in the clean matrix.
     """
 
     sample_fraction: float
     feature_fraction: float
     seed: int
     shared_features: bool = False
-    value_law: str = _VALUE_LAW
 
     def __post_init__(self):
         for name in ("sample_fraction", "feature_fraction"):
@@ -46,8 +43,6 @@ class CorruptionSpec:
                 raise ValidationError(f"{name} must be a real number in [0, 1], got {value!r}")
         if not (0 <= as_integer(self.seed, "seed") < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        if self.value_law != _VALUE_LAW:
-            raise ValidationError(f"unsupported value_law {self.value_law!r}")
 
 
 @dataclass
@@ -115,8 +110,9 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
     measured against the clean one, so it quantifies how well the subspace
     found under corruption explains the uncorrupted data.
     """
-    Xc = X_clean.values if isinstance(X_clean, DataMatrix) else np.asarray(X_clean, dtype=float)
-    Xo = X_occ.values if isinstance(X_occ, DataMatrix) else np.asarray(X_occ, dtype=float)
+    # C order, as DataMatrix stores it: the sums' last bits depend on the order.
+    Xc = X_clean.values if isinstance(X_clean, DataMatrix) else np.ascontiguousarray(X_clean, dtype=float)
+    Xo = X_occ.values if isinstance(X_occ, DataMatrix) else np.ascontiguousarray(X_occ, dtype=float)
     W = np.asarray(basis, dtype=float)
     m = np.asarray(translation, dtype=float)
     if Xc.shape != Xo.shape:
@@ -198,6 +194,7 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
     k, n = truth.class_count, P.shape[1]
     if not (1 <= k <= n):
         raise DimensionError(f"need 1 <= class count <= {n} points, got {k} classes")
+    restarts = as_integer(restarts, "restarts")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     accs = []

@@ -199,13 +199,6 @@ def fit_method(method, X, rank, sigma, tol, max_iter):
     iterative fits.  The fits are looked up as module globals at call time,
     so a wrapper installed on ``epca.harness.<fit>`` sees every call.
     """
-    # A fit's last bits depend on the memory order of X (a row mean sums a
-    # C-ordered row pairwise, an F-ordered one column by column).  Fit in C
-    # order, the order `corrupt` returns, so `epca fit` on a CSV file (read
-    # in F order) gives the bits of the grid cell with the same values.
-    X = X if isinstance(X, DataMatrix) else DataMatrix(X)
-    if not X.values.flags.c_contiguous:
-        X = DataMatrix(np.ascontiguousarray(X.values))
     if method == "classical_pca":
         model, k_trace = fit_classical_pca(X, rank), []
     elif method == "pca_om":

@@ -21,6 +21,7 @@ surrogate) descends monotonically.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,9 @@ class SigmaLossParams:
     sigma: float
 
     def __post_init__(self):
-        s = float(self.sigma)
-        if not (np.isfinite(s) and s > 0):
+        if not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < np.inf):
             raise ValidationError(f"sigma must be a positive finite real, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "sigma", float(self.sigma))
 
 
 def loss_kernel(r, sigma):

@@ -20,6 +20,7 @@ trace is non-increasing.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,6 @@ class SubspaceModel:
 
     basis: np.ndarray
     translation: np.ndarray
-    target_rank: int
     coordinates: np.ndarray
     objective_trace: np.ndarray = field(default_factory=lambda: np.array([]))
 
@@ -52,8 +52,6 @@ class SubspaceModel:
         d, c = W.shape
         if not (1 <= c < d):
             raise DimensionError(f"need 1 <= c < d, got c={c}, d={d}")
-        if int(self.target_rank) != c:
-            raise DimensionError(f"target_rank {self.target_rank} != basis columns {c}")
         if m.shape != (d,):
             raise DimensionError(f"translation shape {m.shape} != ({d},)")
         if V.ndim != 2 or V.shape[0] != c:
@@ -63,42 +61,53 @@ class SubspaceModel:
             raise DimensionError(f"basis is not orthonormal (max |W'W - I| = {gram_err:.2e})")
         self.basis, self.translation, self.coordinates = W, m, V
 
+    @property
+    def target_rank(self) -> int:
+        return self.basis.shape[1]
+
 
 @dataclass
 class EpcaFitState:
     """Everything the alternating fit produced.
 
-    ``eta`` is stored exactly as ``irls_coeffs / alpha.complements`` — the
-    division is performed on the exact complement form of 1 - alpha_i, since
-    near-converged fits can drive weights so close to 1 that the rounded
-    subtraction would be pure noise.  ``objective_trace[0]`` is the objective
-    at the initialization; one entry follows per outer iteration.
     ``active_count_trace`` records the weight activation count k per
-    iteration.
+    iteration.  ``objective_trace`` (the objective at the initialization,
+    then one entry per outer iteration) and ``iterations`` are read from the
+    model.  ``eta`` is ``irls_coeffs / alpha.complements``: the division uses
+    the exact complement form of 1 - alpha_i, since near-converged fits can
+    drive weights so close to 1 that the rounded subtraction would be noise.
     """
 
     model: SubspaceModel
     alpha: WeightVector
     irls_coeffs: np.ndarray
-    eta: np.ndarray
-    objective_trace: np.ndarray
     active_count_trace: np.ndarray
-    iterations: int
+
+    @property
+    def objective_trace(self) -> np.ndarray:
+        return self.model.objective_trace
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace) - 1
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self.irls_coeffs / self.alpha.complements
 
 
 def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
-    """Shared alternating engine.
+    """Shared alternating engine; returns the fit's :class:`EpcaFitState`.
 
     With ``learn_alpha`` the full weighted fit runs (alpha initialized
     uniform at 1/n); without it alpha stays frozen at 0, which is the
-    optimal-mean robust-PCA specialization the baselines reuse.
-
-    Returns a dict with the final W, m, V, weight state, IRLS coefficients
-    and eta, the objective and activation-count traces, and the iteration
-    count.
+    optimal-mean robust-PCA specialization the baselines reuse, and the
+    state's ``alpha`` is None.
     """
     if as_integer(max_iter, "max_iter") < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     n = X.shape[1]
     comp = np.full(n, (n - 1.0) / n) if learn_alpha else np.ones(n)
     alpha_wv = None
@@ -138,13 +147,12 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
 
     # Refresh the coefficients so the reported d/eta are consistent with the
     # final weights (during the loop eta always pairs with the previous alpha).
-    coeffs = coefficient_kernel(rn, sigma)
-    eta = coeffs / comp
-    return {
-        "W": W, "m": m, "V": V, "alpha": alpha_wv, "irls_coeffs": coeffs, "eta": eta,
-        "objective_trace": np.array(trace), "active_count_trace": np.array(ks, dtype=int),
-        "iterations": len(trace) - 1,
-    }
+    return EpcaFitState(
+        model=SubspaceModel(W, m, V, np.array(trace)),
+        alpha=alpha_wv,
+        irls_coeffs=coefficient_kernel(rn, sigma),
+        active_count_trace=np.array(ks, dtype=int),
+    )
 
 
 def epca_fit(X: DataMatrix, c: int, p: SigmaLossParams, tol: float = 1e-8,
@@ -154,19 +162,11 @@ def epca_fit(X: DataMatrix, c: int, p: SigmaLossParams, tol: float = 1e-8,
     Initialization is deterministic (uniform weights, sample mean, classical
     PCA basis), so identical inputs always produce bitwise-identical states.
     """
+    if not isinstance(p, SigmaLossParams):
+        raise ValidationError(f"p must be a SigmaLossParams, got {p!r}")
     X = X if isinstance(X, DataMatrix) else DataMatrix(X)
     c = check_rank(c, X.feature_count - 1)
-    out = _alternate(X.values, c, p.sigma, tol, max_iter, learn_alpha=True)
-    model = SubspaceModel(out["W"], out["m"], c, out["V"], out["objective_trace"])
-    return EpcaFitState(
-        model=model,
-        alpha=out["alpha"],
-        irls_coeffs=out["irls_coeffs"],
-        eta=out["eta"],
-        objective_trace=model.objective_trace,
-        active_count_trace=out["active_count_trace"],
-        iterations=out["iterations"],
-    )
+    return _alternate(X.values, c, p.sigma, tol, max_iter, learn_alpha=True)
 
 
 def transform(model: SubspaceModel, Y) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Tests for the shared containers: DataMatrix, RngHandle, the deterministic
-eigendecomposition."""
+weighted-scatter eigendecomposition."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from epca import (
     ValidationError,
     top_eigenpairs,
 )
+from epca.core import _dense_top_eigenpairs
 
 
 class TestDataMatrix:
@@ -67,15 +68,24 @@ class TestRngHandle:
         with pytest.raises(ValidationError):
             RngHandle(2**64)
 
+    def test_seeds_and_keys_must_be_integers(self):
+        for bad in (1.5, "a", None):
+            with pytest.raises(ValidationError, match="seed must be an integer"):
+                RngHandle(bad)
+        for bad in (1.5, None):
+            with pytest.raises(ValidationError, match="derivation key must be an integer"):
+                RngHandle(1).derive(bad)
+        assert RngHandle(np.uint64(7)).derive(np.int64(3)) == RngHandle(7).derive(3)
+
 
 class TestTopEigenpairs:
     def test_identity_matrix(self):
-        vals, vecs = top_eigenpairs(np.eye(3), 2)
+        vals, vecs = top_eigenpairs(np.eye(3), 2, np.ones(3))
         np.testing.assert_allclose(vals, [1.0, 1.0])
         np.testing.assert_allclose(vecs, np.eye(3)[:, :2])
 
     def test_diagonal_matrix(self):
-        vals, vecs = top_eigenpairs(np.diag([3.0, 2.0, 1.0]), 2)
+        vals, vecs = top_eigenpairs(np.eye(3), 2, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(vals, [3.0, 2.0])
         np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, :2], atol=1e-14)
         # sign convention: largest-magnitude entry positive
@@ -83,10 +93,10 @@ class TestTopEigenpairs:
 
     def test_residual_oracle_on_random_symmetric(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            A = rng.standard_normal((6, 6))
-            S = A + A.T
-            vals, vecs = top_eigenpairs(S, 3)
+        for n in (4, 6, 9) * 20:  # the SVD route, square and tall data
+            A, w = rng.standard_normal((6, n)), rng.uniform(0.1, 3.0, n)
+            S = (A * w) @ A.T
+            vals, vecs = top_eigenpairs(A, 3, w)
             for j in range(3):
                 resid = np.linalg.norm(S @ vecs[:, j] - vals[j] * vecs[:, j])
                 assert resid <= 1e-8 * (1.0 + np.linalg.norm(S))
@@ -97,45 +107,37 @@ class TestTopEigenpairs:
     def test_eigenvalues_invariant_under_rotation(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((7, 7))
-        S = A @ A.T
         Q = np.linalg.qr(rng.standard_normal((7, 7)))[0]
-        vals1, _ = top_eigenpairs(S, 7)
-        vals2, _ = top_eigenpairs(Q @ S @ Q.T, 7)
+        vals1, _ = top_eigenpairs(A, 7, np.ones(7))
+        vals2, _ = top_eigenpairs(Q @ A, 7, np.ones(7))
         np.testing.assert_allclose(vals1, vals2, rtol=1e-9, atol=1e-9)
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(2)
-        A = rng.standard_normal((8, 8))
-        S = A + A.T
-        vals1, vecs1 = top_eigenpairs(S, 4)
-        vals2, vecs2 = top_eigenpairs(S, 4)
+        A, w = rng.standard_normal((8, 8)), rng.uniform(0.1, 3.0, 8)
+        vals1, vecs1 = top_eigenpairs(A, 4, w)
+        vals2, vecs2 = top_eigenpairs(A, 4, w)
         np.testing.assert_array_equal(vals1, vals2)
         np.testing.assert_array_equal(vecs1, vecs2)
 
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((6, 6))
-        S = A + A.T
-        _, vecs = top_eigenpairs(S, 6)
+        _, vecs = top_eigenpairs(A, 6, np.ones(6))
         for j in range(6):
             pivot = np.argmax(np.abs(vecs[:, j]))
             assert vecs[pivot, j] > 0
 
-    def test_rejects_non_symmetric(self):
-        S = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            top_eigenpairs(S, 1)
-
     def test_rejects_rank_beyond_dimension(self):
         with pytest.raises(DimensionError):
-            top_eigenpairs(np.eye(3), 4)
+            top_eigenpairs(np.eye(3), 4, np.ones(3))
         with pytest.raises(DimensionError):
-            top_eigenpairs(np.eye(3), 0)
+            top_eigenpairs(np.eye(3), 0, np.ones(3))
 
 
 
 def _dense_weighted(A, c, w):
-    return top_eigenpairs((A * w) @ A.T, c)
+    return _dense_top_eigenpairs((A * w) @ A.T, c)
 
 
 class TestTopEigenpairsWeighted:
@@ -191,7 +193,7 @@ class TestTopEigenpairsWeighted:
         # differ from those of (A * 1) @ A.T.
         rng = np.random.default_rng(7)
         A = rng.standard_normal((5, 40))
-        for got, ref in zip(top_eigenpairs(A, 3, np.ones(40)), top_eigenpairs(A @ A.T, 3)):
+        for got, ref in zip(top_eigenpairs(A, 3, np.ones(40)), _dense_top_eigenpairs(A @ A.T, 3)):
             np.testing.assert_array_equal(got, ref)
 
     def test_tie_across_the_boundary_is_dense(self):

@@ -110,11 +110,6 @@ class TestSolveWeightsProperties:
         assert wv.weights[0] > wv.weights[1] > wv.weights[2] == 0.0
         assert wv.floor_correction > 0.0
 
-    def test_explicit_zero_floor_is_honored(self):
-        a = solve_weights([0.0, 1.0, 4.0], zero_floor=1e-10)
-        b = solve_weights([1e-10, 1.0, 4.0])
-        np.testing.assert_array_equal(a.weights, b.weights)
-
     def test_numerically_vanishing_loss_falls_back_to_zero_clamp(self):
         """A loss below the float resolution of the multiplier's partial sums
         breaks the strict activation scan; it must be treated as exact zero."""
@@ -138,12 +133,6 @@ class TestSolveWeightsValidation:
     def test_rejects_short_input(self):
         with pytest.raises(DimensionError):
             solve_weights([1.0])
-
-    def test_rejects_bad_zero_floor(self):
-        with pytest.raises(ValidationError):
-            solve_weights([0.0, 1.0, 2.0], zero_floor=-1e-9)
-        with pytest.raises(ValidationError):
-            solve_weights([0.0, 1.0, 2.0], zero_floor=0.0)
 
 
 class TestWeightVectorInvariants:

@@ -27,10 +27,6 @@ class TestCorruptionSpec:
         with pytest.raises(ValidationError):
             CorruptionSpec(0.2, 1.5, seed=0)
 
-    def test_rejects_unknown_value_law(self):
-        with pytest.raises(ValidationError):
-            CorruptionSpec(0.2, 0.2, seed=0, value_law="gaussian")
-
     def test_rejects_bad_seed(self):
         with pytest.raises(ValidationError):
             CorruptionSpec(0.2, 0.2, seed=-3)

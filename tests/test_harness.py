@@ -537,11 +537,12 @@ class TestCli:
         ('{"kmeans_restart": 5}', "'kmeans_restart'"),
         ('{"corruption": {"sample_fraction": 0.1, "bogus": 1}}', "'corruption.bogus'"),
         ('{"corruption": {"seed": 3}}', "'corruption.seed'"),
+        ('{"corruption": {"value_law": "uniform-feature-range"}}', "'corruption.value_law'"),
         ('{"seeds": 5}', "ValidationError: seeds must be a list, got 5"),
         ('{"corruption": {"sample_fraction": "a"}}',
          "ValidationError: sample_fraction must be a real number in [0, 1], got 'a'"),
     ], ids=["not-json", "list", "corruption-list", "unknown-key", "unknown-corruption-key",
-            "corruption-seed", "seeds-int", "sample_fraction-string"])
+            "corruption-seed", "corruption-value_law", "seeds-int", "sample_fraction-string"])
     def test_run_rejects_a_malformed_config_file(self, tmp_path, capsys, content, named):
         config_path = tmp_path / "config.json"
         config_path.write_text(content)

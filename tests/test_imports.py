@@ -1,4 +1,5 @@
-"""Every module-level import in the package's modules is used."""
+"""Every module-level import in the package's modules is used, and every
+module-level private definition is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import epca
 
-MODULES = sorted(p for p in Path(epca.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(epca.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -21,3 +23,42 @@ def test_module_has_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert unused == []
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants (not dunders)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            stored = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in stored if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _referenced_names(tree):
+    """Every name the module reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    unreferenced = sorted(f"{stem}.{name} (line {line})" for stem, tree in trees.items()
+                          for name, line in _private_definitions(tree).items()
+                          if name not in referenced)
+    assert unreferenced == []

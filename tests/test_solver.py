@@ -17,6 +17,8 @@ from epca import (
     DimensionError,
     EpcaError,
     InternalInvariantError,
+    LabelVector,
+    RngHandle,
     SigmaLossParams,
     SubspaceModel,
     ValidationError,
@@ -26,8 +28,10 @@ from epca import (
     fit_classical_pca,
     fit_pca_om,
     irls_coefficient,
+    mean_clustering_accuracy,
     objective_value,
     reconstruct,
+    reconstruction_error,
     sigma_norm_vector,
     top_eigenpairs,
     transform,
@@ -159,7 +163,7 @@ _RANK_ENTRY_POINTS = {
     "epca_fit": lambda X, c: epca_fit(X, c, SigmaLossParams(1.0)),
     "fit_pca_om": fit_pca_om,
     "fit_classical_pca": fit_classical_pca,
-    "top_eigenpairs": lambda X, c: top_eigenpairs(X @ X.T, c),
+    "top_eigenpairs": lambda X, c: top_eigenpairs(X, c, np.ones(X.shape[1])),
 }
 
 
@@ -184,12 +188,62 @@ def test_max_iter_must_be_positive(fit):
     fit(X, 1)
 
 
+_BAD_SCALAR_CALLS = {
+    "sigma-string": ("sigma", lambda X: SigmaLossParams("a")),
+    "sigma-none": ("sigma", lambda X: SigmaLossParams(None)),
+    "sigma-numeric-string": ("sigma", lambda X: SigmaLossParams("1.5")),
+    "pca_om-sigma-string": ("sigma", lambda X: fit_pca_om(X, 2, sigma="a")),
+    "epca-params-float": ("p must be a SigmaLossParams", lambda X: epca_fit(X, 2, 1.0)),
+    "restarts-fraction": ("restarts", lambda X: mean_clustering_accuracy(
+        X, LabelVector(np.arange(20) % 2, 2), 2.5, RngHandle(0))),
+    **{f"{name}-tol-{bad!r}": ("tol", lambda X, fit=fit, bad=bad: fit(X, bad))
+       for name, fit in (
+           ("epca", lambda X, tol: epca_fit(X, 2, SigmaLossParams(1.0), tol=tol)),
+           ("pca_om", lambda X, tol: fit_pca_om(X, 2, tol=tol)))
+       for bad in (None, "a", -1.0, np.inf)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SCALAR_CALLS))
+def test_bad_scalar_argument_is_named(case):
+    named, call = _BAD_SCALAR_CALLS[case]
+    X = np.random.default_rng(15).standard_normal((5, 20))
+    with pytest.raises(ValidationError, match=named):
+        call(X)
+
+
+def _model_arrays(model):
+    return model.basis, model.translation, model.coordinates, model.objective_trace
+
+
+_MEMORY_ORDER_ENTRY_POINTS = {
+    "epca_fit": lambda X, clean, W, m: _model_arrays(epca_fit(X, 3, SigmaLossParams(1.0)).model),
+    "fit_classical_pca": lambda X, clean, W, m: _model_arrays(fit_classical_pca(X, 3)),
+    "fit_pca_om": lambda X, clean, W, m: _model_arrays(fit_pca_om(X, 3)),
+    "reconstruction_error": lambda X, clean, W, m: [reconstruction_error(clean, X, W, m)],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MEMORY_ORDER_ENTRY_POINTS))
+def test_memory_order_does_not_change_the_bits(entry):
+    # At this shape a C- and an F-ordered copy sum in different orders.
+    rng = np.random.default_rng(24)
+    X = _noisy_low_rank(rng, d=64, n=600, c=3).values
+    clean = X + rng.standard_normal(X.shape)
+    model = fit_classical_pca(X, 3)
+    call = _MEMORY_ORDER_ENTRY_POINTS[entry]
+    c_order = call(X, clean, model.basis, model.translation)
+    f_order = call(np.asfortranarray(X), np.asfortranarray(clean), model.basis, model.translation)
+    for a, b in zip(c_order, f_order, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     X = _noisy_low_rank(np.random.default_rng(17), d=10, n=40, c=2)
     gen = np.random.default_rng(18)
     calls = []
 
-    def sabotaged(A, c, weights=None):
+    def sabotaged(A, c, weights):
         calls.append(c)
         if len(calls) == 1:  # the initial classical-PCA basis
             return epca.core.top_eigenpairs(A, c, weights)
@@ -201,11 +255,9 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     assert len(calls) == 2
 
 
-def _dense_top_eigenpairs(A, c, weights=None):
+def _dense_top_eigenpairs(A, c, weights):
     """The weighted form computed through the d-by-d scatter only."""
-    if weights is not None:
-        A = (A * weights) @ A.T
-    return epca.core.top_eigenpairs(A, c)
+    return epca.core._dense_top_eigenpairs((A * weights) @ A.T, c)
 
 
 @pytest.mark.parametrize("fit", [
@@ -240,7 +292,7 @@ class TestTransformReconstruct:
 
     def test_axis_projection(self):
         W = np.eye(5)[:, :2]
-        model = SubspaceModel(W, np.zeros(5), 2, np.zeros((2, 1)))
+        model = SubspaceModel(W, np.zeros(5), np.zeros((2, 1)))
         y = np.array([3.0, 4.0, 5.0, 6.0, 7.0])[:, None]
         np.testing.assert_allclose(transform(model, y), [[3.0], [4.0]])
 
@@ -318,7 +370,6 @@ class TestObjective:
             shifted_model = SubspaceModel(
                 state.model.basis,
                 state.model.translation + state.model.basis @ beta,
-                3,
                 state.model.coordinates - beta[:, None],
             )
             shifted = dataclasses.replace(state, model=shifted_model)
@@ -338,20 +389,16 @@ class TestObjective:
 class TestSubspaceModelInvariants:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(DimensionError):
-            SubspaceModel(np.ones((4, 2)), np.zeros(4), 2, np.zeros((2, 3)))
+            SubspaceModel(np.ones((4, 2)), np.zeros(4), np.zeros((2, 3)))
 
     def test_rejects_rank_equal_to_dimension(self):
         with pytest.raises(DimensionError):
-            SubspaceModel(np.eye(3), np.zeros(3), 3, np.zeros((3, 2)))
-
-    def test_rejects_inconsistent_target_rank(self):
-        with pytest.raises(DimensionError):
-            SubspaceModel(np.eye(4)[:, :2], np.zeros(4), 3, np.zeros((2, 2)))
+            SubspaceModel(np.eye(3), np.zeros(3), np.zeros((3, 2)))
 
     def test_rejects_translation_shape(self):
         with pytest.raises(DimensionError):
-            SubspaceModel(np.eye(4)[:, :2], np.zeros(3), 2, np.zeros((2, 2)))
+            SubspaceModel(np.eye(4)[:, :2], np.zeros(3), np.zeros((2, 2)))
 
     def test_rejects_coordinate_rows(self):
         with pytest.raises(DimensionError):
-            SubspaceModel(np.eye(4)[:, :2], np.zeros(4), 2, np.zeros((3, 2)))
+            SubspaceModel(np.eye(4)[:, :2], np.zeros(4), np.zeros((3, 2)))

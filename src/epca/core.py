@@ -1,5 +1,11 @@
 """Shared containers: data matrices, seeded RNG streams, and the deterministic
-weighted-scatter eigendecomposition used by every subspace method in the package."""
+weighted-scatter eigendecomposition used by every subspace method in the package.
+
+On wide data (c < n < d) the eigendecomposition reads the top c+1 eigenpairs
+of the n-by-n Gram of the weighted data, at O(d n^2 + n^3), and maps them to
+the d-dimensional eigenvectors; it falls through to a full ``eigh`` of the
+d-by-d scatter on an overflow, an eigenvalue tie at the c boundary, or a
+mapped basis that is not orthonormal to 1e-12."""
 
 from __future__ import annotations
 
@@ -8,6 +14,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError, ValidationError
 
@@ -67,21 +74,23 @@ class RngHandle:
         seed = as_integer(self.seed, "seed")
         if not 0 <= seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", seed)
-
-    def derive(self, *keys) -> "RngHandle":
-        """Child handle for a sub-task; keys may be ints or short strings."""
-        coerced = []
-        for key in keys:
-            if isinstance(key, str):
-                key = zlib.crc32(key.encode("utf-8"))
-            key = as_integer(key, "derivation key")
+        if not isinstance(self.path, tuple):
+            raise ValidationError(f"path must be a tuple of derivation keys, got {self.path!r}")
+        path = tuple(as_integer(key, "derivation key") for key in self.path)
+        for key in path:
             if not 0 <= key < 2**32:
                 raise ValidationError(
                     f"integer derivation keys must fit in 32 bits, got {key!r}"
                 )
-            coerced.append(key)
-        return RngHandle(self.seed, self.path + tuple(coerced))
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path", path)
+
+    def derive(self, *keys) -> "RngHandle":
+        """Child handle for a sub-task; keys may be ints or short strings."""
+        keys = tuple(
+            zlib.crc32(key.encode("utf-8")) if isinstance(key, str) else key for key in keys
+        )
+        return RngHandle(self.seed, self.path + keys)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this handle's stream."""
@@ -118,13 +127,17 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
     the c largest eigenvalues in descending order and eigenvectors as the
     columns of a d-by-c orthonormal matrix.
 
-    When ``c < n < d`` the eigenpairs are the left singular vectors of
-    ``A * sqrt(weights)`` and its squared singular values, from a thin SVD at
-    O(d n^2) instead of the O(d^3) ``eigh``.  Otherwise, and whenever the gap
-    between the c-th and (c+1)-th eigenvalue is within rounding of zero (an
-    exact tie, or c above the rank of the data, where the two routes may pick
-    different equally valid subspaces), the scatter is built and decomposed
-    by a full ``eigh``.  The scatter is ``A @ A.T`` for unit weights and
+    When ``c < n < d`` the scatter shares its nonzero eigenvalues with the
+    n-by-n Gram ``G = B.T @ B`` of ``B = A * sqrt(weights)``.  The top c+1
+    eigenpairs ``(lambda, v)`` of ``G`` come from a subset ``eigh``, and the
+    eigenvectors are ``B @ v / sqrt(lambda)``, at O(d n^2 + n^3) instead of
+    the O(d^3) full ``eigh``.  That result is kept only when ``G`` is finite,
+    the gap between the c-th and (c+1)-th eigenvalue is above rounding (an
+    exact tie, or c above the rank of the data, lets the two routes pick
+    different equally valid subspaces), and the mapped basis is orthonormal
+    to 1e-12 (it drifts like ``eps * lambda_1 / lambda_c``).  Otherwise, and
+    for tall or square data, the scatter is built and decomposed by a full
+    ``eigh``.  The scatter is ``A @ A.T`` for unit weights and
     ``(A * weights) @ A.T`` otherwise.
 
     The gauge convention makes the output reproducible:
@@ -149,15 +162,19 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
         raise ValidationError("weights must be finite and nonnegative")
 
     if c < n < d:
-        # A non-finite or overflowed factor or eigenvalue falls through to
-        # the scatter, whose finiteness check reports it (the gap test is
-        # false for inf and nan).
+        # A non-finite Gram, a tie at the boundary or a mapped basis that has
+        # lost orthogonality falls through to the scatter, whose finiteness
+        # check reports an overflow.  numpy forms B.T @ B by a symmetric
+        # rank-k update.
         B = A * np.sqrt(w)
-        if np.all(np.isfinite(B)):
-            U, s, _ = np.linalg.svd(B, full_matrices=False)
-            evals = s * s
+        G = B.T @ B
+        if np.all(np.isfinite(G)):
+            evals, V = scipy.linalg.eigh(G, subset_by_index=[n - c - 1, n - 1])
+            evals, V = evals[::-1], V[:, ::-1]
             if evals[c - 1] - evals[c] > d * _EPS * evals[0]:
-                return _apply_gauge(evals[:c], U[:, :c])
+                U = (B @ V[:, :c]) / np.sqrt(evals[:c])
+                if np.max(np.abs(U.T @ U - np.eye(c))) <= 1e-12:
+                    return _apply_gauge(evals[:c], U)
     # numpy forms A @ A.T by a symmetric rank-k update, at half the cost
     # of the general product.
     S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T

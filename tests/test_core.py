@@ -11,6 +11,7 @@ from epca import (
     ValidationError,
     top_eigenpairs,
 )
+import epca.core
 from epca.core import _dense_top_eigenpairs
 
 
@@ -77,6 +78,16 @@ class TestRngHandle:
                 RngHandle(1).derive(bad)
         assert RngHandle(np.uint64(7)).derive(np.int64(3)) == RngHandle(7).derive(3)
 
+    def test_path_words_are_checked_like_derivation_keys(self):
+        # A word of 2**32 or more would be split into two 32-bit entropy
+        # words, so these two paths used to draw the same stream.
+        for path in ((2**40, 7), (0, 7 * 2**32 + 256), (-1,)):
+            with pytest.raises(ValidationError, match="must fit in 32 bits"):
+                RngHandle(1, path)
+        with pytest.raises(ValidationError, match="derivation key must be an integer"):
+            RngHandle(1, (1.5,)).generator()
+        assert RngHandle(1, (np.uint32(5),)) == RngHandle(1).derive(5)
+
 
 class TestTopEigenpairs:
     def test_identity_matrix(self):
@@ -93,7 +104,7 @@ class TestTopEigenpairs:
 
     def test_residual_oracle_on_random_symmetric(self):
         rng = np.random.default_rng(11)
-        for n in (4, 6, 9) * 20:  # the SVD route, square and tall data
+        for n in (4, 6, 9) * 20:  # the Gram route, square and tall data
             A, w = rng.standard_normal((6, n)), rng.uniform(0.1, 3.0, n)
             S = (A * w) @ A.T
             vals, vecs = top_eigenpairs(A, 3, w)
@@ -141,26 +152,32 @@ def _dense_weighted(A, c, w):
 
 
 class TestTopEigenpairsWeighted:
-    """The weighted-scatter form: thin SVD when c < n < d, dense otherwise."""
+    """The weighted-scatter form: the n-by-n Gram when c < n < d, dense otherwise."""
 
     @staticmethod
     def _wide(seed, d=40, n=15):
         rng = np.random.default_rng(seed)
         return rng.standard_normal((d, n)), rng.uniform(0.1, 3.0, n)
 
-    def test_svd_route_matches_dense_projector(self, monkeypatch):
+    @staticmethod
+    def _no_dense_route(monkeypatch):
+        def refuse(S, c):
+            raise AssertionError("the Gram route fell through to the dense eigensolve")
+
+        monkeypatch.setattr(epca.core, "_dense_top_eigenpairs", refuse)
+
+    def test_gram_route_matches_dense_projector(self, monkeypatch):
         for seed in range(10):
             A, w = self._wide(seed)
             for c in (1, 4, 14):
                 ref_vals, ref_vecs = _dense_weighted(A, c, w)
                 with monkeypatch.context() as m:
-                    # The route must not fall back to the d-by-d eigensolve.
-                    m.setattr(np.linalg, "eigh", None)
+                    self._no_dense_route(m)
                     vals, vecs = top_eigenpairs(A, c, w)
                 np.testing.assert_allclose(vals, ref_vals, rtol=1e-10)
                 assert np.max(np.abs(vecs @ vecs.T - ref_vecs @ ref_vecs.T)) <= 1e-10
 
-    def test_svd_route_keeps_gauge_and_orthonormality(self):
+    def test_gram_route_keeps_gauge_and_orthonormality(self):
         A, w = self._wide(3)
         vals, vecs = top_eigenpairs(A, 6, w)
         assert np.all(np.diff(vals) < 0)
@@ -168,12 +185,41 @@ class TestTopEigenpairsWeighted:
         for j in range(6):
             assert vecs[np.argmax(np.abs(vecs[:, j])), j] > 0
 
-    def test_svd_route_is_bitwise_deterministic(self):
+    def test_gram_route_is_bitwise_deterministic(self):
         A, w = self._wide(4)
         vals1, vecs1 = top_eigenpairs(A, 5, w)
         vals2, vecs2 = top_eigenpairs(A.copy(), 5, w.copy())
         np.testing.assert_array_equal(vals1, vals2)
         np.testing.assert_array_equal(vecs1, vecs2)
+
+    def test_ill_conditioned_wide_data_stays_orthonormal(self, monkeypatch):
+        # The mapped basis B v / sqrt(lambda) loses orthogonality like
+        # eps * lambda_1 / lambda_c.  At a singular-value spread of 1e2 that
+        # is 7.7e-13 for this factor, so the Gram route is kept; at 1e4 it is
+        # 9.6e-9, and the orthogonality check sends the call to the dense
+        # eigensolve.
+        rng = np.random.default_rng(12)
+        U = np.linalg.qr(rng.standard_normal((80, 30)))[0]
+        V = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        tail = 0.1 * rng.uniform(0.1, 1.0, 25)
+        w = rng.uniform(0.5, 2.0, 30)
+        for spread in (1e2, 1e4):
+            A = (U * np.concatenate([np.geomspace(spread, 1.0, 5), tail])) @ V.T
+            with monkeypatch.context() as m:
+                if spread == 1e2:
+                    self._no_dense_route(m)
+                vals, vecs = top_eigenpairs(A, 5, w)
+            _, ref_vecs = _dense_weighted(A, 5, w)
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(5))) <= 1e-12
+            assert np.max(np.abs(vecs @ vecs.T - ref_vecs @ ref_vecs.T)) <= 1e-10
+
+    def test_gram_overflow_reports_non_finite_entries(self):
+        # B = A * sqrt(w) is finite, but B.T @ B overflows; the dense scatter
+        # overflows too, and its finiteness check names the cause.
+        A, w = self._wide(9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="matrix entries must be finite"):
+                top_eigenpairs(1e160 * A, 3, w)
 
     def test_rank_at_or_above_sample_count_is_dense(self):
         A, w = self._wide(5, d=20, n=6)

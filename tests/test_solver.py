@@ -264,7 +264,7 @@ def _dense_top_eigenpairs(A, c, weights):
     lambda X: epca_fit(X, 3, SigmaLossParams(1.0)),
     lambda X: fit_pca_om(X, 3),
 ], ids=["epca_fit", "fit_pca_om"])
-def test_wide_data_svd_route_matches_the_dense_eigensolve(fit, monkeypatch):
+def test_wide_data_gram_route_matches_the_dense_eigensolve(fit, monkeypatch):
     rng = np.random.default_rng(16)
     d, n = 60, 40
     X = _noisy_low_rank(rng, d=d, n=n, c=3).values
@@ -277,6 +277,26 @@ def test_wide_data_svd_route_matches_the_dense_eigensolve(fit, monkeypatch):
     # Only the weighted fit records these; pca_om's result has neither.
     for name in ("iterations", "active_count_trace"):
         np.testing.assert_array_equal(getattr(routed, name, None), getattr(dense, name, None))
+
+
+def test_gram_route_fit_with_outlier_columns_matches_the_dense_fit(monkeypatch):
+    rng = np.random.default_rng(24)
+    d, n, c = 300, 60, 5
+    X = _noisy_low_rank(rng, d=d, n=n, c=c).values
+    X[:, :6] = 10.0 * rng.standard_normal((d, 6))  # 10% outlier columns
+
+    def refuse(S, c):
+        raise AssertionError("the Gram route fell through to the dense eigensolve")
+
+    with monkeypatch.context() as m:
+        m.setattr(epca.core, "_dense_top_eigenpairs", refuse)
+        routed = epca_fit(X, c, SigmaLossParams(1.0))
+    monkeypatch.setattr(epca.solver, "top_eigenpairs", _dense_top_eigenpairs)
+    dense = epca_fit(X, c, SigmaLossParams(1.0))
+    assert routed.iterations == dense.iterations > 1
+    np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
+    W, W_dense = routed.model.basis, dense.model.basis
+    assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-10
 
 
 class TestTransformReconstruct:

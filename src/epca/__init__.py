@@ -36,14 +36,7 @@ from .harness import (
     ingest_csv,
     run_experiment,
 )
-from .sigmaloss import (
-    IrlsResult,
-    SigmaLossParams,
-    irls_coefficient,
-    irls_solve,
-    sigma_norm_matrix,
-    sigma_norm_vector,
-)
+from .sigmaloss import SigmaLossParams, irls_coefficient, sigma_norm_matrix, sigma_norm_vector
 from .solver import EpcaFitState, SubspaceModel, epca_fit, epca_objective, reconstruct, transform
 
 __all__ = [
@@ -57,7 +50,6 @@ __all__ = [
     "IngestionError",
     "InternalInvariantError",
     "InvariantError",
-    "IrlsResult",
     "LabelVector",
     "RngHandle",
     "SigmaLossParams",
@@ -74,12 +66,13 @@ __all__ = [
     "grid_search_sigma",
     "ingest_csv",
     "irls_coefficient",
-    "irls_solve",
     "mean_clustering_accuracy",
     "objective_value",
     "reconstruct",
     "reconstruction_error",
     "run_experiment",
+    "sigma_norm_matrix",
+    "sigma_norm_vector",
     "solve_weights",
     "top_eigenpairs",
     "transform",

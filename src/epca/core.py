@@ -26,16 +26,23 @@ class DataMatrix:
     """Dense real matrix whose columns are samples.
 
     ``values`` has shape (d, n): d features (rows) by n samples (columns).
-    Entries must be finite and there must be at least two samples.  The
-    values are stored in C memory order, because a fit's last bits depend on
-    the order (a row mean sums a C-ordered row pairwise, an F-ordered one
-    column by column).
+    Entries must be finite real numbers in equal-length rows (complex,
+    string or ragged input is a ``ValidationError``), and there must be at
+    least two samples.  The values are stored in C memory order, because a
+    fit's last bits depend on the order (a row mean sums a C-ordered row
+    pairwise, an F-ordered one column by column).
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=float)
+        try:
+            raw = np.asarray(self.values)
+        except ValueError as exc:
+            raise ValidationError(f"matrix rows must all have the same length ({exc})") from None
+        if raw.dtype.kind not in "biuf":
+            raise ValidationError(f"matrix entries must be real numbers, got {raw.dtype} entries")
+        arr = np.ascontiguousarray(raw, dtype=float)
         if arr.ndim != 2:
             raise DimensionError(f"expected a 2-D matrix, got ndim={arr.ndim}")
         d, n = arr.shape

@@ -47,28 +47,42 @@ class CorruptionSpec:
 
 @dataclass
 class LabelVector:
-    """Ground-truth class ids in [0, class_count)."""
+    """Ground-truth class ids in [0, class_count); a float id must be a whole number."""
 
     labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=int)
+        lab = _whole_numbers(self.labels, "labels")
         if lab.ndim != 1:
             raise DimensionError("labels must be a 1-D vector")
-        if lab.size and (lab.min() < 0 or lab.max() >= self.class_count):
+        k = as_integer(self.class_count, "class_count")
+        if k < 1:
+            raise ValidationError(f"class_count must be positive, got {k}")
+        if lab.size and (lab.min() < 0 or lab.max() >= k):
             raise ValidationError(
-                f"labels must lie in [0, {self.class_count}), got range "
-                f"[{lab.min()}, {lab.max()}]"
+                f"labels must lie in [0, {k}), got range [{lab.min()}, {lab.max()}]"
             )
-        self.labels = lab
+        self.labels, self.class_count = lab, k
 
     @classmethod
     def from_raw(cls, raw) -> "LabelVector":
         """Build from arbitrary integer ids, remapped to 0..K-1 in sorted order."""
-        raw = np.asarray(raw, dtype=int)
+        raw = _whole_numbers(raw, "labels")
         classes, remapped = np.unique(raw, return_inverse=True)
         return cls(remapped, len(classes))
+
+
+def _whole_numbers(values, name):
+    """``values`` as an int array; a float entry must be a whole number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        bad = arr[~(np.isfinite(arr) & (arr == np.round(arr)))]
+        if bad.size:
+            raise ValidationError(f"{name} must be whole numbers, got {bad[0]}")
+    elif arr.dtype.kind not in "biu":
+        raise ValidationError(f"{name} must be whole numbers, got {arr.dtype} entries")
+    return arr.astype(int, copy=False)
 
 
 def corrupt(X: DataMatrix, spec: CorruptionSpec):
@@ -121,7 +135,7 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
         raise DimensionError(f"basis shape {W.shape} incompatible with data {Xc.shape}")
     if m.shape != (Xc.shape[0],):
         raise DimensionError(f"translation shape {m.shape} != ({Xc.shape[0]},)")
-    if np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) > 1e-8:
+    if not np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) <= 1e-8:
         raise ValidationError("basis columns are not orthonormal")
     diff = (Xc - m[:, None]) - W @ (W.T @ (Xo - m[:, None]))
     return float(np.sum(diff * diff))
@@ -165,7 +179,7 @@ def _kmeans_once(P, k, gen):
 
 def clustering_accuracy(predicted, truth: LabelVector) -> float:
     """Best label-agreement fraction over one-to-one cluster/class mappings."""
-    pred = np.asarray(predicted, dtype=int)
+    pred = _whole_numbers(predicted, "predicted labels")
     if pred.shape != truth.labels.shape:
         raise DimensionError(
             f"predicted length {pred.size} != truth length {truth.labels.size}"
@@ -191,6 +205,8 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
     P = np.asarray(V, dtype=float)
     if P.ndim != 2:
         raise DimensionError("coordinates must be a 2-D matrix (columns = points)")
+    if not np.all(np.isfinite(P)):
+        raise ValidationError("coordinates must be finite (no NaN/Inf)")
     k, n = truth.class_count, P.shape[1]
     if not (1 <= k <= n):
         raise DimensionError(f"need 1 <= class count <= {n} points, got {k} classes")

@@ -1,4 +1,5 @@
-"""The sigma-loss and its iteratively-reweighted least-squares machinery.
+"""The sigma-loss, its iteratively-reweighted least-squares coefficient, and
+the descent guard every alternating fit shares.
 
 For a vector a the loss is
 
@@ -107,59 +108,3 @@ def irls_coefficient(residual_norm, p: SigmaLossParams):
         raise ValidationError("residual norms must be finite and nonnegative")
     d = coefficient_kernel(r, p.sigma)
     return float(d) if np.isscalar(residual_norm) else d
-
-
-@dataclass
-class IrlsResult:
-    """Outcome of :func:`irls_solve`.
-
-    ``objective_trace[0]`` is the objective at the initial parameters and
-    each subsequent entry follows one surrogate solve; ``iterations`` counts
-    the surrogate solves performed.
-    """
-
-    parameters: object
-    objective_trace: np.ndarray
-    iterations: int
-
-
-def irls_solve(residual_fn, wls_solver, s, p: SigmaLossParams, params0,
-               tol: float = 1e-9, max_iter: int = 100) -> IrlsResult:
-    """Minimize sum_i s_i * sigma_loss(r_i(params)) by iterated reweighting.
-
-    ``residual_fn(params)`` returns the per-sample residuals as the columns
-    of a matrix; ``wls_solver(weights)`` must return the exact minimizer of
-    sum_i weights_i * ||r_i(params)||^2 for the weights it is given (the
-    product s_i * d_i is passed).  ``s`` holds fixed nonnegative per-sample
-    multipliers.
-
-    Stops when the relative objective decrease falls below ``tol`` or after
-    ``max_iter`` surrogate solves.  The objective is non-increasing along the
-    way; an increase beyond the documented slack (1e-9 relative, plus an
-    absolute floor at the float resolution of the initial objective) raises
-    :class:`InternalInvariantError` — it would mean ``wls_solver`` is not
-    actually solving its subproblem.
-    """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0) or not np.all(np.isfinite(s)):
-        raise ValidationError("sample multipliers must be finite and nonnegative")
-
-    def objective(params):
-        res = np.atleast_2d(np.asarray(residual_fn(params), dtype=float))
-        rnorm = np.linalg.norm(res, axis=0)
-        if rnorm.shape != s.shape:
-            raise ValidationError(
-                f"residual_fn produced {rnorm.size} samples, expected {s.size}"
-            )
-        return float(np.sum(s * loss_kernel(rnorm, p.sigma))), rnorm
-
-    params = params0
-    obj, rnorm = objective(params)
-    trace = [obj]
-    for _ in range(max_iter):
-        params = wls_solver(s * irls_coefficient(rnorm, p))
-        obj, rnorm = objective(params)
-        trace.append(obj)
-        if descent_converged(trace, tol):
-            break
-    return IrlsResult(params, np.array(trace), len(trace) - 1)

@@ -56,8 +56,11 @@ class SubspaceModel:
             raise DimensionError(f"translation shape {m.shape} != ({d},)")
         if V.ndim != 2 or V.shape[0] != c:
             raise DimensionError(f"coordinates must have {c} rows, got shape {V.shape}")
+        for name, arr in (("basis", W), ("translation", m), ("coordinates", V)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} entries must be finite (no NaN/Inf)")
         gram_err = np.max(np.abs(W.T @ W - np.eye(c)))
-        if gram_err > 1e-10:
+        if not gram_err <= 1e-10:
             raise DimensionError(f"basis is not orthonormal (max |W'W - I| = {gram_err:.2e})")
         self.basis, self.translation, self.coordinates = W, m, V
 

@@ -2,9 +2,8 @@
 
 Everything here is deliberately implemented from first principles (no reuse
 of package internals): a projected-gradient minimizer over the simplex, a
-brute-force activation-count scan, dense grid search for 1-D location
-problems, subspace comparison via principal angles, and a point-by-point
-k-means++/Lloyd run.
+brute-force activation-count scan, subspace comparison via principal angles,
+and a point-by-point k-means++/Lloyd run.
 """
 
 import math
@@ -60,24 +59,6 @@ def activation_count_candidates(f):
         if lower and upper:
             hits.append(k)
     return hits
-
-
-def sigma_loss_scalar(r, sigma):
-    return (1.0 + sigma) * r * r / (r + sigma)
-
-
-def location_objective(theta, x, s, sigma):
-    r = np.abs(x - theta)
-    return float(np.sum(s * sigma_loss_scalar(r, sigma)))
-
-
-def location_grid_oracle(x, s, sigma, width=2.0, points=200001):
-    """Dense 1-D grid search for the weighted sigma-loss location problem."""
-    lo, hi = x.min() - width, x.max() + width
-    grid = np.linspace(lo, hi, points)
-    r = np.abs(x[None, :] - grid[:, None])
-    vals = (s[None, :] * sigma_loss_scalar(r, sigma)).sum(axis=1)
-    return float(grid[np.argmin(vals)])
 
 
 def largest_principal_angle(W1, W2):

@@ -38,6 +38,16 @@ class TestDataMatrix:
         with pytest.raises(DimensionError):
             DataMatrix(np.ones(5))
 
+    @pytest.mark.parametrize("values, named", [
+        ([[1 + 5j, 2], [3, 4j]], "real numbers, got complex128"),
+        ([["1.5", "2"], ["3", "4"]], "real numbers, got <U3"),
+        ([["a", "b"], ["c", "d"]], "real numbers, got <U1"),
+        ([[1.0, 2.0], [3.0]], "same length"),
+    ], ids=["complex", "numeric-strings", "strings", "ragged"])
+    def test_rejects_entries_that_are_not_a_real_matrix(self, values, named):
+        with pytest.raises(ValidationError, match=named):
+            DataMatrix(values)
+
 
 class TestRngHandle:
     def test_same_seed_same_draws(self):

@@ -149,6 +149,11 @@ class TestReconstructionError:
         with pytest.raises(ValidationError):
             reconstruction_error(X, X, np.ones((3, 2)), np.zeros(3))
 
+    def test_rejects_a_nan_basis(self):
+        X = DataMatrix(np.ones((3, 4)))
+        with pytest.raises(ValidationError, match="orthonormal"):
+            reconstruction_error(X, X, np.full((3, 1), np.nan), np.zeros(3))
+
     def test_rejects_shape_mismatches(self):
         X = DataMatrix(np.ones((3, 4)))
         Y = DataMatrix(np.ones((3, 5)))
@@ -184,6 +189,11 @@ class TestKmeans:
         truth = LabelVector(np.array([0, 1, 1]), 2)
         with pytest.raises(ValidationError):
             mean_clustering_accuracy(np.ones((2, 3)), truth, restarts=0, rng=RngHandle(0))
+
+    def test_rejects_non_finite_coordinates(self):
+        truth = LabelVector(np.array([0, 0, 1, 1, 1]), 2)
+        with pytest.raises(ValidationError, match="finite"):
+            mean_clustering_accuracy(np.full((2, 5), np.nan), truth, restarts=3, rng=RngHandle(0))
 
     def test_rejects_one_dimensional_coordinates(self):
         truth = LabelVector(np.array([0, 0, 0, 1, 1, 1]), 2)
@@ -240,6 +250,12 @@ class TestClusteringAccuracy:
         with pytest.raises(DimensionError):
             clustering_accuracy(np.array([0, 1, 0]), truth)
 
+    def test_predictions_must_be_whole_numbers(self):
+        truth = LabelVector(np.array([0, 1]), 2)
+        assert clustering_accuracy(np.array([1.0, 0.0]), truth) == 1.0
+        with pytest.raises(ValidationError, match="whole numbers, got 0.5"):
+            clustering_accuracy(np.array([0.5, 1.0]), truth)
+
 
 class TestLabelVector:
     def test_from_raw_remaps_to_contiguous_ids(self):
@@ -250,6 +266,19 @@ class TestLabelVector:
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValidationError):
             LabelVector(np.array([0, 3]), 2)
+
+    def test_labels_must_be_whole_numbers(self):
+        np.testing.assert_array_equal(LabelVector([0.0, 1.0], 2).labels, [0, 1])
+        for bad in ([0.5, 1.7], [0.0, np.nan], ["0", "1"]):
+            with pytest.raises(ValidationError, match="whole numbers"):
+                LabelVector(bad, 2)
+        with pytest.raises(ValidationError, match="whole numbers"):
+            LabelVector.from_raw([1.5, 2.0])
+
+    @pytest.mark.parametrize("count", [0, -1, 2.0, "2"])
+    def test_class_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValidationError, match="class_count"):
+            LabelVector([0, 0], count)
 
 
 class TestMeanClusteringAccuracy:

@@ -518,8 +518,10 @@ class TestCli:
         assert cell["rank"] == 2
         assert scores == {name: cell[name] for name in ("reconstruction_error", "mean_accuracy")}
 
-    @pytest.mark.parametrize("content", ['{"translation": [0.0, 0.0]}', "not json"],
-                             ids=["no-basis", "not-json"])
+    @pytest.mark.parametrize("content", [
+        '{"translation": [0.0, 0.0]}', "not json",
+        '{"basis": [[NaN], [0.0], [0.0], [0.0], [0.0]], "translation": [0.0, 0.0, 0.0, 0.0, 0.0]}',
+    ], ids=["no-basis", "not-json", "nan-basis"])
     def test_eval_rejects_a_malformed_model_file(self, tmp_path, capsys, content):
         data = _data_csv(tmp_path)
         model_path = tmp_path / "model.json"

@@ -25,6 +25,13 @@ def test_module_has_no_unused_imports(path):
     assert unused == []
 
 
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse(Path(epca.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(epca.__all__) == sorted(imported | {"__version__"})
+
+
 def _private_definitions(tree):
     """Module-level private functions, classes and constants (not dunders)."""
     names = {}

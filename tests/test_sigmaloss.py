@@ -1,27 +1,22 @@
-"""Tests for the sigma-loss, its IRLS coefficient, and the surrogate solver.
+"""Tests for the sigma-loss and its IRLS coefficient.
 
 The loss (1+sigma)||a||^2/(||a||+sigma) interpolates between the l2,1 norm
-(sigma -> 0) and the squared Frobenius norm (sigma -> inf); the IRLS solver
-descends on weighted sums of it.  Limit behavior, the majorization
-inequality, and the location-problem solutions are all checked against
-independent oracles.
+(sigma -> 0) and the squared Frobenius norm (sigma -> inf); the coefficient
+d(r) gives its gradient 2*d*a and a quadratic surrogate that majorizes it.
+Limit behavior, the gradient identity and the majorization inequality are
+checked against independent computations.
 """
 
 import numpy as np
 import pytest
 
 from epca import (
-    InternalInvariantError,
-    IrlsResult,
     SigmaLossParams,
     ValidationError,
     irls_coefficient,
-    irls_solve,
     sigma_norm_matrix,
     sigma_norm_vector,
 )
-
-from oracles import location_grid_oracle, location_objective
 
 
 class TestSigmaLossParams:
@@ -173,97 +168,3 @@ class TestMajorizationInequality:
             lhs = sigma_norm_vector(x, p) - dy * rx * rx
             rhs = sigma_norm_vector(y, p) - dy * ry * ry
             assert rhs - lhs >= -1e-12
-
-
-def _location_setup(x, s):
-    """1-D weighted location problem: find theta minimizing the sigma-loss sum."""
-
-    def residual_fn(theta):
-        return (x - theta)[None, :]
-
-    def wls_solver(weights):
-        return float(np.sum(weights * x) / np.sum(weights))
-
-    return residual_fn, wls_solver
-
-
-class TestIrlsSolve:
-    def test_zero_residuals_converge_immediately(self):
-        x = np.full(4, 2.5)
-        residual_fn, wls_solver = _location_setup(x, np.ones(4))
-        out = irls_solve(residual_fn, wls_solver, np.ones(4), SigmaLossParams(1.0), 2.5)
-        assert isinstance(out, IrlsResult)
-        assert out.iterations == 1
-        assert out.objective_trace[0] == 0.0
-        assert out.objective_trace[-1] == 0.0
-
-    def test_location_sits_between_median_and_mean(self):
-        """x = (0, 0, 10), sigma = 1: the optimum is pulled off the mean toward
-        the median but not onto it; verified against a dense grid search."""
-        x = np.array([0.0, 0.0, 10.0])
-        s = np.ones(3)
-        residual_fn, wls_solver = _location_setup(x, s)
-        out = irls_solve(
-            residual_fn, wls_solver, s, SigmaLossParams(1.0), float(x.mean()),
-            tol=1e-14, max_iter=200,
-        )
-        theta = out.parameters
-        assert 0.0 < theta < x.mean()
-        grid_theta = location_grid_oracle(x, s, 1.0)
-        assert theta == pytest.approx(grid_theta, abs=1e-4)
-
-    def test_large_sigma_location_is_the_mean(self):
-        x = np.array([0.0, 0.0, 10.0])
-        s = np.ones(3)
-        residual_fn, wls_solver = _location_setup(x, s)
-        out = irls_solve(
-            residual_fn, wls_solver, s, SigmaLossParams(1e8), 1.0,
-            tol=1e-14, max_iter=200,
-        )
-        assert out.parameters == pytest.approx(x.mean(), abs=1e-3)
-
-    def test_trace_non_increasing_and_matches_objective(self):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal(20) * 3.0
-        s = rng.uniform(0.5, 2.0, 20)
-        p = SigmaLossParams(0.5)
-        residual_fn, wls_solver = _location_setup(x, s)
-        out = irls_solve(residual_fn, wls_solver, s, p, 0.0)
-        trace = out.objective_trace
-        assert np.all(np.diff(trace) <= 1e-9 * np.abs(trace[:-1]) + 1e-15)
-        assert trace[-1] == pytest.approx(
-            location_objective(out.parameters, x, s, p.sigma), rel=1e-12
-        )
-
-    def test_broken_subproblem_solver_trips_the_descent_guard(self):
-        x = np.array([0.0, 1.0, 2.0])
-
-        def residual_fn(theta):
-            return (x - theta)[None, :]
-
-        def bad_wls_solver(weights):
-            bad_wls_solver.theta += 5.0  # runs away from the optimum
-            return bad_wls_solver.theta
-
-        bad_wls_solver.theta = 1.0
-        with pytest.raises(InternalInvariantError):
-            irls_solve(residual_fn, bad_wls_solver, np.ones(3), SigmaLossParams(1.0), 1.0)
-
-    def test_rejects_negative_multipliers(self):
-        x = np.array([0.0, 1.0])
-        residual_fn, wls_solver = _location_setup(x, np.ones(2))
-        with pytest.raises(ValidationError):
-            irls_solve(residual_fn, wls_solver, np.array([1.0, -1.0]),
-                       SigmaLossParams(1.0), 0.5)
-
-    def test_rejects_residual_count_mismatch(self):
-        x = np.array([0.0, 1.0, 2.0])
-
-        def residual_fn(theta):
-            return (x[:2] - theta)[None, :]  # drops a sample
-
-        def wls_solver(weights):
-            return 0.0
-
-        with pytest.raises(ValidationError):
-            irls_solve(residual_fn, wls_solver, np.ones(3), SigmaLossParams(1.0), 0.0)

@@ -422,3 +422,13 @@ class TestSubspaceModelInvariants:
     def test_rejects_coordinate_rows(self):
         with pytest.raises(DimensionError):
             SubspaceModel(np.eye(4)[:, :2], np.zeros(4), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("field", ["basis", "translation", "coordinates"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, field, bad):
+        parts = {"basis": np.eye(4)[:, :2], "translation": np.zeros(4),
+                 "coordinates": np.zeros((2, 3))}
+        parts[field] = parts[field].copy()
+        parts[field].flat[0] = bad
+        with pytest.raises(ValidationError, match=field):
+            SubspaceModel(**parts)

@@ -5,15 +5,17 @@ Given per-sample losses f_i >= 0, find simplex weights w (sum w_i = 1,
 
     sum_i f_i / (1 - w_i).
 
-At the optimum exactly k samples receive positive weight, where k is the
-unique count in [2, n] for which the sorted losses satisfy
+When every loss is positive, exactly k samples receive positive weight at
+the optimum, where k is the unique count in [2, n] for which the sorted
+losses satisfy
 
     sqrt(f_(k)) < sqrt(lambda) <= sqrt(f_(k+1)),
     sqrt(lambda) = (sum_{i<=k} sqrt(f_(i))) / (k - 1),
 
 and the active weights are w_i = 1 - sqrt(f_i / lambda).  Small losses get
 large weights, so the scheme concentrates attention on the samples a model
-currently fits best while never collapsing onto a single sample.
+currently fits best.  When some losses are zero, the zero samples take all
+the weight (see :func:`solve_weights`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InternalInvariantError, InvariantError, ValidationError
+from .errors import DimensionError, InvariantError, ValidationError
 
 _EPS = np.finfo(float).eps
 
@@ -43,20 +45,15 @@ class WeightVector:
     bookkeeping coherent.  ``weights`` is the rounded display form, clamped
     into [0, 1).
 
-    ``lam`` is the squared multiplier lambda; it is 0 exactly when every loss
-    is zero apart from rounding (the uniform-on-zero-losses case), which is
-    also the stationarity multiplier there.
-
-    ``floor_correction`` records the objective bookkeeping term introduced
-    when a single exactly-zero loss had to be floored before solving (see
-    :func:`solve_weights`); it is 0.0 in the regular case.
+    ``lam`` is the squared multiplier lambda; it is 0 exactly when some loss
+    counts as zero (the weight then sits on the zero losses, see
+    :func:`solve_weights`), which is also the stationarity multiplier there.
     """
 
     weights: np.ndarray
     active_count: int
     lam: float
     complements: np.ndarray = None
-    floor_correction: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -83,18 +80,13 @@ class WeightVector:
 def solve_weights(losses) -> WeightVector:
     """Minimize sum_i f_i / (1 - w_i) over the probability simplex.
 
-    Degenerate losses follow the framework's own remedies:
-
-    * several losses exactly zero -> uniform weights on the zero set (any
-      split of the mass there is optimal and costs nothing);
-    * exactly one loss zero -> that loss is floored to 1e-12 times the
-      largest loss and the regular path runs, because the untouched problem
-      has no attained minimum.
-
-    A loss can also be *numerically* zero: so small that its square root is
-    below the float resolution of the multiplier's partial sums, which makes
-    the strict activation scan unsatisfiable.  Such losses are clamped to
-    exact zero and the degenerate rules above apply.
+    A loss counts as zero when f_i <= (eps * sqrt(max f))**2: its square root
+    then vanishes next to the largest one at float resolution.  If any loss
+    is zero, the zero samples share the mass uniformly (a single one takes
+    the largest weight below 1) and every other sample gets weight 0; the
+    objective then equals the sum of the nonzero losses, the infimum, which
+    with a single zero loss is not attained.  Otherwise the closed form of
+    the module docstring applies.
     """
     f = np.asarray(losses, dtype=float)
     if f.ndim != 1:
@@ -106,63 +98,27 @@ def solve_weights(losses) -> WeightVector:
     if np.any(f < 0):
         raise ValidationError("losses must be nonnegative")
 
-    for attempt in range(2):
-        result = _solve_positive_or_degenerate(f)
-        if result is not None:
-            return result
-        # Strict scan failed: clamp relatively-zero losses and retry once.
-        tiny = f < (_EPS * np.sqrt(f.max())) ** 2
-        if attempt == 1 or not np.any(tiny):
-            break
-        f = np.where(tiny, 0.0, f)
-    raise InternalInvariantError(
-        "no activation count satisfies the optimality conditions"
-    )
+    zero = f <= (_EPS * np.sqrt(f.max())) ** 2
+    if np.any(zero):
+        m = int(zero.sum())
+        w = np.where(zero, min(1.0 / m, _WEIGHT_CAP), 0.0)
+        return WeightVector(w, m, 0.0, complements=1.0 - w)
 
-
-def _solve_positive_or_degenerate(f):
-    """One solve attempt; returns None when the strict k-scan finds nothing."""
     n = f.size
-    zero = f == 0.0
-    n_zero = int(zero.sum())
-    if n_zero > 1:
-        w = np.where(zero, 1.0 / n_zero, 0.0)
-        return WeightVector(w, n_zero, 0.0, complements=1.0 - w)
-
-    floor_idx = None
-    if n_zero == 1:
-        f = f.copy()
-        floor_idx = int(np.nonzero(zero)[0][0])
-        # The other losses are positive, so the floor is too.
-        f[floor_idx] = 1e-12 * f.max()
-
     order = np.argsort(f, kind="stable")
     s = np.sqrt(f[order])
-    prefix = np.cumsum(s)
-
-    ks = np.arange(2, n + 1)
-    lam_sqrts = prefix[ks - 1] / (ks - 1)
-    lower_ok = s[ks - 1] < lam_sqrts
-    upper_ok = np.ones(n - 1, dtype=bool)
-    upper_ok[:-1] = lam_sqrts[:-1] <= s[ks[:-1]]
-    hits = np.flatnonzero(lower_ok & upper_ok)
-    if hits.size == 0:
-        return None
-
-    k = int(ks[hits[0]])
-    lam_sqrt = lam_sqrts[hits[0]]
-    idx = np.arange(n)
+    # sqrt(lambda_k) for k = 2..n; s_k < sqrt(lambda_k) holds for a leading
+    # run of k (always k = 2, as no loss is zero) and k is where it ends.
+    lam_sqrts = np.cumsum(s)[1:] / np.arange(1, n)
+    k = int(np.cumprod(s[1:] < lam_sqrts).sum()) + 1
+    lam_sqrt = lam_sqrts[k - 2]
+    active = np.arange(n) < k
     ratio = s / lam_sqrt
-    comp_sorted = np.where(idx < k, ratio, 1.0)
-    w_sorted = np.where(idx < k, np.maximum(1.0 - ratio, 0.0), 0.0)
-    w_sorted = np.minimum(w_sorted, _WEIGHT_CAP)
     w = np.empty(n)
     comp = np.empty(n)
-    w[order] = w_sorted
-    comp[order] = comp_sorted
-    floor_corr = f[floor_idx] / comp[floor_idx] if floor_idx is not None else 0.0
-    return WeightVector(w, k, float(lam_sqrt**2), complements=comp,
-                        floor_correction=float(floor_corr))
+    w[order] = np.where(active, np.minimum(1.0 - ratio, _WEIGHT_CAP), 0.0)
+    comp[order] = np.where(active, ratio, 1.0)
+    return WeightVector(w, k, float(lam_sqrt**2), complements=comp)
 
 
 def objective_value(losses, wv: WeightVector) -> float:

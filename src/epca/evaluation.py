@@ -124,9 +124,10 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
     measured against the clean one, so it quantifies how well the subspace
     found under corruption explains the uncorrupted data.
     """
-    # C order, as DataMatrix stores it: the sums' last bits depend on the order.
-    Xc = X_clean.values if isinstance(X_clean, DataMatrix) else np.ascontiguousarray(X_clean, dtype=float)
-    Xo = X_occ.values if isinstance(X_occ, DataMatrix) else np.ascontiguousarray(X_occ, dtype=float)
+    # Raw arrays are checked and stored in C order by DataMatrix: the sums'
+    # last bits depend on the order.
+    Xc, Xo = (A.values if isinstance(A, DataMatrix) else DataMatrix(A).values
+              for A in (X_clean, X_occ))
     W = np.asarray(basis, dtype=float)
     m = np.asarray(translation, dtype=float)
     if Xc.shape != Xo.shape:
@@ -135,6 +136,8 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
         raise DimensionError(f"basis shape {W.shape} incompatible with data {Xc.shape}")
     if m.shape != (Xc.shape[0],):
         raise DimensionError(f"translation shape {m.shape} != ({Xc.shape[0]},)")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("translation entries must be finite (no NaN/Inf)")
     if not np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) <= 1e-8:
         raise ValidationError("basis columns are not orthonormal")
     diff = (Xc - m[:, None]) - W @ (W.T @ (Xo - m[:, None]))

@@ -64,17 +64,17 @@ def coefficient_kernel(r, sigma):
     return (1.0 + sigma) * (r + 2.0 * sigma) / (2.0 * (r + sigma) ** 2)
 
 
-def descent_converged(trace, tol, slack=0.0) -> bool:
+def descent_converged(trace, tol) -> bool:
     """Check the last step of an objective trace that must not increase.
 
     Raises :class:`InternalInvariantError` when ``trace[-1]`` exceeds
     ``trace[-2]`` by more than 1e-9 relative plus an absolute floor at the
-    float resolution of ``trace[0]`` plus ``slack``; otherwise returns
-    whether the relative decrease fell to ``tol`` or below.
+    float resolution of ``trace[0]``; otherwise returns whether the relative
+    decrease fell to ``tol`` or below.
     """
     prev, obj = trace[-2], trace[-1]
     noise_floor = _EPS * max(1.0, abs(trace[0]))
-    if obj > prev + 1e-9 * abs(prev) + noise_floor + slack:
+    if obj > prev + 1e-9 * abs(prev) + noise_floor:
         raise InternalInvariantError(
             f"objective rose from {prev!r} to {obj!r} at iteration {len(trace) - 1}"
         )

@@ -123,7 +123,6 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
 
     trace = [float(np.sum(loss_kernel(rn, sigma) / comp))]
     ks = []
-    floor_corr = 0.0
 
     for _ in range(max_iter):
         eta = coefficient_kernel(rn, sigma) / comp
@@ -134,18 +133,13 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         rn = np.linalg.norm(Xc - W @ V, axis=0)
         losses = loss_kernel(rn, sigma)
 
-        prev_floor_corr = floor_corr
         if learn_alpha:
             alpha_wv = solve_weights(losses)
             comp = alpha_wv.complements
             ks.append(alpha_wv.active_count)
-            floor_corr = alpha_wv.floor_correction
 
         trace.append(float(np.sum(losses / comp)))
-        # Beyond the guard's own slack, allow for the bookkeeping gap of the
-        # zero-loss floor (the weight step then solves a floored problem
-        # because the exact one has no attained minimum).
-        if descent_converged(trace, tol, slack=floor_corr + prev_floor_corr):
+        if descent_converged(trace, tol):
             break
 
     # Refresh the coefficients so the reported d/eta are consistent with the

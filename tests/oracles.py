@@ -36,9 +36,9 @@ def simplex_weight_oracle(f, iters=4000):
     for t in range(iters):
         g = f / (1.0 - w) ** 2
         step = 0.5 / (1 + t) ** 0.5 / (np.linalg.norm(g) + 1e-12)
-        w = project_simplex(w - step * g)
-        w = np.minimum(w, 1 - 1e-9)
-        w = w / w.sum()
+        # Mixing in 1e-9 of the uniform point keeps every w_i below 1, where
+        # the objective has its pole, even when the projection returns a vertex.
+        w = (1 - 1e-9) * project_simplex(w - step * g) + 1e-9 / n
         val = obj(w)
         if val < best:
             best_w, best = w, val

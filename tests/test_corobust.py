@@ -103,20 +103,57 @@ class TestSolveWeightsProperties:
         assert wv.complements[0] > 0
         assert np.all(wv.weights < 1.0)
 
-    def test_single_zero_loss_uses_floor_and_regular_path(self):
-        wv = solve_weights([0.0, 1.0, 4.0])
-        # the floored sample dominates the active set; k = 2 here
-        assert wv.active_count == 2
-        assert wv.weights[0] > wv.weights[1] > wv.weights[2] == 0.0
-        assert wv.floor_correction > 0.0
+    def test_single_zero_loss_takes_all_the_weight(self):
+        """With one zero loss the infimum, the sum of the other losses, is
+        approached as that sample's weight tends to 1."""
+        f = [0.0, 1.0, 4.0]
+        wv = solve_weights(f)
+        assert wv.active_count == 1
+        assert wv.weights[0] > wv.weights[1] == wv.weights[2] == 0.0
+        assert wv.lam == 0.0
+        assert objective_value(f, wv) == 5.0
 
-    def test_numerically_vanishing_loss_falls_back_to_zero_clamp(self):
-        """A loss below the float resolution of the multiplier's partial sums
-        breaks the strict activation scan; it must be treated as exact zero."""
-        wv = solve_weights(np.array([1e-33, 4.0, 9.0]))
-        assert wv.active_count == 2
+    def test_numerically_vanishing_loss_counts_as_zero(self):
+        """A loss below (eps * sqrt(max f))**2 vanishes next to the others'
+        square roots; it is treated as an exact zero."""
+        f = np.array([1e-33, 4.0, 9.0])
+        wv = solve_weights(f)
+        assert wv.active_count == 1
         assert abs(wv.weights.sum() - 1.0) <= 1e-12 * 3
         assert np.count_nonzero(wv.weights) == wv.active_count
+        assert objective_value(f, wv) == 13.0
+
+    def test_rounded_partial_sum_still_ends_the_activation_scan(self):
+        """The partial sums of sqrt(f) round 1 + 2.5e-16 + 1 to 2, so no k
+        satisfies both sides of the optimality condition in floats; the
+        leading run of the lower side still ends at one."""
+        f = [1.0, 6.46582551e-32, 1.0]
+        wv = solve_weights(f)
+        assert wv.active_count == 2
+        assert wv.weights[1] > wv.weights[0] > wv.weights[2] == 0.0
+        assert objective_value(f, wv) == pytest.approx(2.0, rel=1e-15)
+
+    def test_degenerate_magnitudes_land_on_the_simplex(self):
+        """Exact zeros, subnormals and losses from 1e-40 to 1e40, mixed."""
+        rng = np.random.default_rng(2718)
+        subnormal = np.finfo(float).smallest_subnormal
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            kind = rng.integers(3, size=n)
+            f = np.where(kind == 0, 0.0,
+                         np.where(kind == 1, subnormal * rng.integers(1, 2**40, n),
+                                  10.0 ** rng.uniform(-40, 40, n)))
+            wv = solve_weights(f)
+            w = wv.weights
+            assert abs(w.sum() - 1.0) <= 1e-12 * n
+            assert np.all(w >= 0) and np.all(w < 1)
+            assert np.count_nonzero(w) == wv.active_count
+            mine = objective_value(f, wv)
+            if np.all(f > 0):
+                _, oracle = simplex_weight_oracle(f, iters=400)
+                assert mine <= oracle + 1e-6
+            else:
+                assert mine == np.sum(np.where(w > 0, 0.0, f))
 
 
 class TestSolveWeightsValidation:

@@ -154,6 +154,23 @@ class TestReconstructionError:
         with pytest.raises(ValidationError, match="orthonormal"):
             reconstruction_error(X, X, np.full((3, 1), np.nan), np.zeros(3))
 
+    def test_rejects_a_non_finite_translation(self):
+        X = DataMatrix(np.ones((3, 4)))
+        W = np.eye(3)[:, :1]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="translation"):
+                reconstruction_error(X, X, W, np.array([bad, 0.0, 0.0]))
+
+    def test_rejects_non_finite_raw_data(self):
+        X = np.ones((3, 4))
+        bad = X.copy()
+        bad[1, 2] = np.nan
+        W = np.eye(3)[:, :1]
+        with pytest.raises(ValidationError, match="finite"):
+            reconstruction_error(bad, X, W, np.zeros(3))
+        with pytest.raises(ValidationError, match="finite"):
+            reconstruction_error(X, bad, W, np.zeros(3))
+
     def test_rejects_shape_mismatches(self):
         X = DataMatrix(np.ones((3, 4)))
         Y = DataMatrix(np.ones((3, 5)))

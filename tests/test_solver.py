@@ -16,6 +16,7 @@ from epca import (
     DataMatrix,
     DimensionError,
     EpcaError,
+    EpcaFitState,
     InternalInvariantError,
     LabelVector,
     RngHandle,
@@ -54,6 +55,28 @@ def _noisy_low_rank(rng, d=12, n=80, c=3):
     X = B @ (rng.standard_normal((c + 1, n)) * 3.0) + rng.standard_normal(d)[:, None]
     X += 0.1 * rng.standard_normal((d, n))
     return DataMatrix(X)
+
+
+def _degenerate_problem(gen):
+    """A small fit whose losses can vanish: ``(X, c, sigma)``.
+
+    d in [2, 5], n in [2, 7] and c in [1, d-1].  The data are integer
+    entries, or an integer plane of rank at most c (exactly fitted, so every
+    loss can reach zero), or integer centroids repeated across the columns
+    (duplicate samples).  sigma is 10**U(-3, 2).
+    """
+    d, n = int(gen.integers(2, 6)), int(gen.integers(2, 8))
+    c = int(gen.integers(1, d))
+    kind = int(gen.integers(3))
+    if kind == 0:
+        X = gen.integers(-3, 4, (d, n))
+    elif kind == 1:
+        r = int(gen.integers(0, c + 1))
+        X = gen.integers(-3, 4, (d, 1)) + gen.integers(-3, 4, (d, r)) @ gen.integers(-3, 4, (r, n))
+    else:
+        centroids = gen.integers(-3, 4, (d, int(gen.integers(1, n + 1))))
+        X = centroids[:, gen.integers(0, centroids.shape[1], n)]
+    return X.astype(float), c, 10.0 ** gen.uniform(-3, 2)
 
 
 class TestFit:
@@ -236,6 +259,28 @@ def test_memory_order_does_not_change_the_bits(entry):
     f_order = call(np.asfortranarray(X), np.asfortranarray(clean), model.basis, model.translation)
     for a, b in zip(c_order, f_order, strict=True):
         np.testing.assert_array_equal(a, b)
+
+
+def test_degenerate_fits_descend_without_tripping_the_guard():
+    """Fits whose losses vanish or tie (exact planes, duplicate samples) run
+    through the zero-loss rule of the weight step and still descend."""
+    gen = np.random.default_rng(606)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        X, c, sigma = _degenerate_problem(gen)
+        state = epca_fit(X, c, SigmaLossParams(sigma), max_iter=50)
+        assert isinstance(state, EpcaFitState)
+        trace = state.objective_trace
+        assert np.all(np.diff(trace) <= 4 * eps * max(1.0, abs(trace[0])))
+
+
+def test_fit_whose_weight_step_rounds_away_a_loss():
+    """Its first weight step sees losses (1, 6.5e-32, 1); the activation
+    scan must still find a count there."""
+    state = epca_fit([[1, -1, 1], [1, 0, 1], [0, -1, -2]], 1,
+                     SigmaLossParams(20.424679362208725))
+    assert state.iterations >= 2
+    assert np.all(np.diff(state.objective_trace) <= 0)
 
 
 def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):

@@ -2,10 +2,14 @@
 weighted-scatter eigendecomposition used by every subspace method in the package.
 
 On wide data (c < n < d) the eigendecomposition reads the top c+1 eigenpairs
-of the n-by-n Gram of the weighted data, at O(d n^2 + n^3), and maps them to
-the d-dimensional eigenvectors; it falls through to a full ``eigh`` of the
-d-by-d scatter on an overflow, an eigenvalue tie at the c boundary, or a
-mapped basis that is not orthonormal to 1e-12."""
+of the n-by-n Gram of the weighted data, at O(n^3) plus O(d n c) for the
+mapping to d-dimensional eigenvectors, and it takes the Gram's O(d n^2)
+product from the caller when given: the alternating fit forms that product
+once per fit and updates it by a rank-2 correction when its mean moves.  A
+mapped basis that is not orthonormal to 1e-12 is repaired by one
+Rayleigh-Ritz step; the route falls through to a full ``eigh`` of the d-by-d
+scatter on an overflow, an eigenvalue tie at the c boundary, or a basis the
+repair leaves off orthonormal."""
 
 from __future__ import annotations
 
@@ -125,7 +129,14 @@ def check_rank(c, limit: int) -> int:
     return c
 
 
-def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarray]:
+def gram_route(d: int, n: int, c: int) -> bool:
+    """Whether :func:`top_eigenpairs` of d-by-n data at rank c reads the
+    n-by-n Gram (wide data, ``c < n < d``) instead of the d-by-d scatter."""
+    return c < n < d
+
+
+def top_eigenpairs(A: np.ndarray, c: int, weights, *,
+                   gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Leading eigenpairs of a weighted scatter, under a fixed gauge.
 
     ``A`` is a d-by-n matrix (the solvers pass centred data) and ``weights``
@@ -135,17 +146,26 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
     columns of a d-by-c orthonormal matrix.
 
     When ``c < n < d`` the scatter shares its nonzero eigenvalues with the
-    n-by-n Gram ``G = B.T @ B`` of ``B = A * sqrt(weights)``.  The top c+1
-    eigenpairs ``(lambda, v)`` of ``G`` come from a subset ``eigh``, and the
-    eigenvectors are ``B @ v / sqrt(lambda)``, at O(d n^2 + n^3) instead of
-    the O(d^3) full ``eigh``.  That result is kept only when ``G`` is finite,
-    the gap between the c-th and (c+1)-th eigenvalue is above rounding (an
-    exact tie, or c above the rank of the data, lets the two routes pick
-    different equally valid subspaces), and the mapped basis is orthonormal
-    to 1e-12 (it drifts like ``eps * lambda_1 / lambda_c``).  Otherwise, and
-    for tall or square data, the scatter is built and decomposed by a full
-    ``eigh``.  The scatter is ``A @ A.T`` for unit weights and
-    ``(A * weights) @ A.T`` otherwise.
+    n-by-n weighted Gram ``G = diag(s) A.T A diag(s)``, ``s = sqrt(weights)``.
+    The top c+1 eigenpairs ``(lambda, v)`` of ``G`` come from a subset
+    ``eigh``, and the eigenvectors are ``A @ (s * v) / sqrt(lambda)``, at
+    O(d n^2 + n^3) instead of the O(d^3) full ``eigh``.  That result is kept
+    only when ``G`` is finite, the gap between the c-th and (c+1)-th
+    eigenvalue is above rounding (an exact tie, or c above the rank of the
+    data, lets the two routes pick different equally valid subspaces), and
+    the mapped basis is orthonormal to 1e-12.  The mapped basis drifts from
+    orthogonality like ``eps * lambda_1 / lambda_c`` while its span stays as
+    accurate as the Gram's eigenvectors, so a drifted basis is first
+    repaired by one Rayleigh-Ritz step on its span (a QR, then an ``eigh``
+    of the c-by-c projected Gram).  Otherwise, and for tall or square data,
+    the scatter is built and decomposed by a full ``eigh``.  The scatter is
+    ``A @ A.T`` for unit weights and ``(A * weights) @ A.T`` otherwise.
+
+    ``gram``, if given, must hold ``A.T @ A`` and saves the O(d n^2)
+    product: the alternating fit forms that product once per fit and
+    updates it as its mean moves.  The call overwrites the buffer (it is
+    scaled in place, then LAPACK works in it), so ``gram`` no longer holds
+    ``A.T @ A`` afterwards; the scatter route ignores it.
 
     The gauge convention makes the output reproducible:
 
@@ -167,25 +187,47 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
         raise DimensionError(f"weights shape {w.shape} != ({n},)")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValidationError("weights must be finite and nonnegative")
+    if gram is not None and gram.shape != (n, n):
+        raise DimensionError(f"gram shape {gram.shape} != ({n}, {n})")
 
-    if c < n < d:
-        # A non-finite Gram, a tie at the boundary or a mapped basis that has
-        # lost orthogonality falls through to the scatter, whose finiteness
-        # check reports an overflow.  numpy forms B.T @ B by a symmetric
+    if gram_route(d, n, c):
+        # A non-finite Gram, a tie at the boundary or a basis that stays
+        # off orthonormal falls through to the scatter, whose finiteness
+        # check reports an overflow.  numpy forms A.T @ A by a symmetric
         # rank-k update.
-        B = A * np.sqrt(w)
-        G = B.T @ B
+        s = np.sqrt(w)
+        G = A.T @ A if gram is None else gram
+        G *= s
+        G *= s[:, None]
         if np.all(np.isfinite(G)):
-            evals, V = scipy.linalg.eigh(G, subset_by_index=[n - c - 1, n - 1])
+            # G.T is the Fortran-ordered view that LAPACK overwrites without
+            # a copy; it equals G up to the last bit of the scaling.
+            evals, V = scipy.linalg.eigh(G.T, subset_by_index=[n - c - 1, n - 1],
+                                         overwrite_a=True, check_finite=False)
             evals, V = evals[::-1], V[:, ::-1]
             if evals[c - 1] - evals[c] > d * _EPS * evals[0]:
-                U = (B @ V[:, :c]) / np.sqrt(evals[:c])
-                if np.max(np.abs(U.T @ U - np.eye(c))) <= 1e-12:
-                    return _apply_gauge(evals[:c], U)
+                U = (A @ (s[:, None] * V[:, :c])) / np.sqrt(evals[:c])
+                evals = evals[:c]
+                if not _is_orthonormal(U):
+                    evals, U = _rayleigh_ritz(A, s, U)
+                if _is_orthonormal(U):
+                    return _apply_gauge(evals, U)
     # numpy forms A @ A.T by a symmetric rank-k update, at half the cost
     # of the general product.
     S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T
     return _dense_top_eigenpairs(S, c)
+
+
+def _is_orthonormal(U):
+    return np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-12
+
+
+def _rayleigh_ritz(A, s, U):
+    """Eigenpairs of the weighted scatter restricted to span(U), descending."""
+    Q = np.linalg.qr(U)[0]
+    P = s[:, None] * (A.T @ Q)
+    evals, Y = np.linalg.eigh(P.T @ P)
+    return evals[::-1], Q @ Y[:, ::-1]
 
 
 def _dense_top_eigenpairs(S, c):

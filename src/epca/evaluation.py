@@ -157,6 +157,9 @@ def _kmeans_once(P, k, gen):
         d2 = np.minimum(d2, np.sum((P - centers[:, [j]]) ** 2, axis=0))
 
     sq = np.sum(P * P, axis=0)
+    # Bin (row, cluster) of every entry of P, in P's C order, so one
+    # bincount sums each row's clusters in the same order as a per-row one.
+    row_bins = (np.arange(dim) * k)[:, None]
     labels = np.full(n, -1)
     for _ in range(300):
         dists = sq[None, :] - 2.0 * centers.T @ P + np.sum(centers * centers, axis=0)[:, None]
@@ -175,7 +178,8 @@ def _kmeans_once(P, k, gen):
         labels = new_labels
         # A cluster the re-seed emptied again keeps its centre.
         filled = counts > 0
-        sums = np.array([np.bincount(labels, weights=row, minlength=k) for row in P])
+        sums = np.bincount((row_bins + labels).ravel(), weights=P.ravel(),
+                           minlength=dim * k).reshape(dim, k)
         centers[:, filled] = sums[:, filled] / counts[filled]
     return labels
 
@@ -189,8 +193,7 @@ def clustering_accuracy(predicted, truth: LabelVector) -> float:
         )
     _, pred_ids = np.unique(pred, return_inverse=True)
     k = max(pred_ids.max() + 1, truth.class_count)
-    confusion = np.zeros((k, k))
-    np.add.at(confusion, (pred_ids, truth.labels), 1.0)
+    confusion = np.bincount(pred_ids * k + truth.labels, minlength=k * k).reshape(k, k)
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / pred.size)
 

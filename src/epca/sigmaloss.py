@@ -30,6 +30,8 @@ import numpy as np
 from .errors import InternalInvariantError, ValidationError
 
 _EPS = np.finfo(float).eps
+# The smallest norm the coefficient works with: its square is a normal float.
+_R_FLOOR = 2.0 ** -500
 
 
 @dataclass(frozen=True)
@@ -56,24 +58,33 @@ def loss_kernel(r, sigma):
 def coefficient_kernel(r, sigma):
     """IRLS coefficient of residual norms ``r`` (unchecked).
 
-    Below sigma = 1e-12 the formula tends to 0/0 at r = 0, so the norms are
-    clamped there; for larger sigma it is already finite.
+    When sigma is below 1e-12 of the largest norm, the formula tends to 0/0
+    at r = 0 on the scale of the norms, so they are clamped at 1e-14 of the
+    largest one.  Both constants are relative, so the coefficients of
+    ``(s*r, s*sigma)`` are those of ``(r, sigma)`` times one common factor.
+    Whatever the scale, a sigma below 2**-500 also clamps the norms at
+    2**-500, so that ``(r + sigma)**2`` does not underflow.
     """
-    if sigma < 1e-12:
-        r = np.maximum(r, 1e-14)
+    r_max = np.max(r, initial=0.0)
+    if sigma < 1e-12 * r_max or sigma < _R_FLOOR:
+        r = np.maximum(r, max(1e-14 * r_max, _R_FLOOR))
     return (1.0 + sigma) * (r + 2.0 * sigma) / (2.0 * (r + sigma) ** 2)
 
 
-def descent_converged(trace, tol) -> bool:
+def descent_converged(trace, tol, scale) -> bool:
     """Check the last step of an objective trace that must not increase.
 
-    Raises :class:`InternalInvariantError` when ``trace[-1]`` exceeds
-    ``trace[-2]`` by more than 1e-9 relative plus an absolute floor at the
-    float resolution of ``trace[0]``; otherwise returns whether the relative
-    decrease fell to ``tol`` or below.
+    ``scale`` is the objective at the data's own scale; its float resolution
+    ``eps * scale`` is the noise floor.  The floor scales with the data, so
+    a problem scaled by any positive factor gives the same answers, and it
+    stays above the rounding of a fit whose objective is itself rounding
+    noise (exact data), which ``trace[0]`` would not.  Raises
+    :class:`InternalInvariantError` when ``trace[-1]`` exceeds ``trace[-2]``
+    by more than 1e-9 relative plus the floor; otherwise returns whether the
+    relative decrease fell to ``tol`` or below.
     """
     prev, obj = trace[-2], trace[-1]
-    noise_floor = _EPS * max(1.0, abs(trace[0]))
+    noise_floor = _EPS * scale
     if obj > prev + 1e-9 * abs(prev) + noise_floor:
         raise InternalInvariantError(
             f"objective rose from {prev!r} to {obj!r} at iteration {len(trace) - 1}"

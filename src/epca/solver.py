@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, as_integer, check_rank, top_eigenpairs
+from .core import DataMatrix, as_integer, check_rank, gram_route, top_eigenpairs
 from .corobust import WeightVector, solve_weights
 from .errors import DimensionError, ValidationError
 from .sigmaloss import SigmaLossParams, coefficient_kernel, descent_converged, loss_kernel
@@ -111,26 +111,50 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-    n = X.shape[1]
+    d, n = X.shape
     comp = np.full(n, (n - 1.0) / n) if learn_alpha else np.ones(n)
     alpha_wv = None
 
+    # The loop's d-by-n intermediates live in two work arrays: Xc holds the
+    # centred data, T the weighted data and then the residual.
     m = X.mean(axis=1)
     Xc = X - m[:, None]
-    _, W = top_eigenpairs(Xc, c, np.ones(n))
+    T = np.empty_like(X)
+    # On the wide route the centred Gram comes from K = Xc.T @ Xc at the
+    # initial mean m0: at a mean m0 + delta it is K - a 1' - 1 a' +
+    # (delta'delta) 1 1' with a = Xc.T @ delta, computed from X so that no
+    # second d-by-n array stays alive.  delta is a convex combination of the
+    # centred columns (eta > 0), so |a_i| and delta'delta stay below the
+    # largest squared column norm and the update rounds like a fresh Gram.
+    # top_eigenpairs overwrites G, so each call gets a freshly written one.
+    K = Xc.T @ Xc if gram_route(d, n, c) else None
+    m0, G = m, None if K is None else K.copy()
+    _, W = top_eigenpairs(Xc, c, np.ones(n), gram=G)
     V = W.T @ Xc
-    rn = np.linalg.norm(Xc - W @ V, axis=0)
+    rn = _residual_norms(Xc, W, V, T)
 
     trace = [float(np.sum(loss_kernel(rn, sigma) / comp))]
+    # Rounding moves each residual by a multiple of eps * (|x_i - m| + |m|),
+    # so the guard's noise floor is eps times the objective of those norms.
+    # The columns of Xc have norms hypot(rn, |v|) because W is orthonormal.
+    data_norms = np.hypot(rn, np.linalg.norm(V, axis=0)) + np.linalg.norm(m)
+    scale = float(np.sum(loss_kernel(data_norms, sigma) / comp))
     ks = []
 
     for _ in range(max_iter):
         eta = coefficient_kernel(rn, sigma) / comp
-        m = (X * eta).sum(axis=1) / eta.sum()
-        Xc = X - m[:, None]
-        _, W = top_eigenpairs(Xc, c, eta)
+        np.multiply(X, eta, out=T)
+        m = T.sum(axis=1) / eta.sum()
+        np.subtract(X, m[:, None], out=Xc)
+        if K is not None:
+            delta = m - m0
+            a = X.T @ delta - m0 @ delta
+            np.subtract(K, a, out=G)
+            G -= a[:, None]
+            G += delta @ delta
+        _, W = top_eigenpairs(Xc, c, eta, gram=G)
         V = W.T @ Xc
-        rn = np.linalg.norm(Xc - W @ V, axis=0)
+        rn = _residual_norms(Xc, W, V, T)
         losses = loss_kernel(rn, sigma)
 
         if learn_alpha:
@@ -139,7 +163,7 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
             ks.append(alpha_wv.active_count)
 
         trace.append(float(np.sum(losses / comp)))
-        if descent_converged(trace, tol):
+        if descent_converged(trace, tol, scale):
             break
 
     # Refresh the coefficients so the reported d/eta are consistent with the
@@ -150,6 +174,14 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         irls_coeffs=coefficient_kernel(rn, sigma),
         active_count_trace=np.array(ks, dtype=int),
     )
+
+
+def _residual_norms(Xc, W, V, out):
+    """Column norms of ``Xc - W @ V``, computed in the work array ``out``."""
+    np.matmul(W, V, out=out)
+    np.subtract(Xc, out, out=out)
+    np.multiply(out, out, out=out)
+    return np.sqrt(out.sum(axis=0))
 
 
 def epca_fit(X: DataMatrix, c: int, p: SigmaLossParams, tol: float = 1e-8,

@@ -127,7 +127,7 @@ class TestIrlsCoefficient:
         assert np.all(d > 0) and np.all(np.isfinite(d))
 
     def test_zero_residual_at_tiny_sigma_is_finite(self):
-        # 1/sigma overflows here; the norms are clamped below sigma = 1e-12.
+        # (r + sigma)**2 underflows here; the norms are clamped at 2**-500.
         with np.errstate(all="raise"):
             d = irls_coefficient(0.0, SigmaLossParams(1e-200))
         assert np.isfinite(d) and d > 0

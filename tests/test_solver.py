@@ -288,10 +288,10 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     gen = np.random.default_rng(18)
     calls = []
 
-    def sabotaged(A, c, weights):
+    def sabotaged(A, c, weights, *, gram=None):
         calls.append(c)
         if len(calls) == 1:  # the initial classical-PCA basis
-            return epca.core.top_eigenpairs(A, c, weights)
+            return epca.core.top_eigenpairs(A, c, weights, gram=gram)
         return None, np.linalg.qr(gen.standard_normal((A.shape[0], c)))[0]
 
     monkeypatch.setattr(epca.solver, "top_eigenpairs", sabotaged)
@@ -300,8 +300,9 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     assert len(calls) == 2
 
 
-def _dense_top_eigenpairs(A, c, weights):
-    """The weighted form computed through the d-by-d scatter only."""
+def _dense_top_eigenpairs(A, c, weights, *, gram=None):
+    """The weighted form computed through the d-by-d scatter only; the
+    solver's Gram buffer is ignored."""
     return epca.core._dense_top_eigenpairs((A * weights) @ A.T, c)
 
 
@@ -324,24 +325,86 @@ def test_wide_data_gram_route_matches_the_dense_eigensolve(fit, monkeypatch):
         np.testing.assert_array_equal(getattr(routed, name, None), getattr(dense, name, None))
 
 
-def test_gram_route_fit_with_outlier_columns_matches_the_dense_fit(monkeypatch):
-    rng = np.random.default_rng(24)
-    d, n, c = 300, 60, 5
-    X = _noisy_low_rank(rng, d=d, n=n, c=c).values
-    X[:, :6] = 10.0 * rng.standard_normal((d, 6))  # 10% outlier columns
-
+def _gram_and_dense_fits(X, c, monkeypatch):
+    """The fit on the Gram route (a fall-through fails the test) and the
+    fit on the dense route."""
     def refuse(S, c):
         raise AssertionError("the Gram route fell through to the dense eigensolve")
 
     with monkeypatch.context() as m:
         m.setattr(epca.core, "_dense_top_eigenpairs", refuse)
         routed = epca_fit(X, c, SigmaLossParams(1.0))
-    monkeypatch.setattr(epca.solver, "top_eigenpairs", _dense_top_eigenpairs)
-    dense = epca_fit(X, c, SigmaLossParams(1.0))
+    with monkeypatch.context() as m:
+        m.setattr(epca.solver, "top_eigenpairs", _dense_top_eigenpairs)
+        dense = epca_fit(X, c, SigmaLossParams(1.0))
+    return routed, dense
+
+
+def test_gram_route_fit_with_outlier_columns_matches_the_dense_fit(monkeypatch):
+    rng = np.random.default_rng(24)
+    d, n, c = 300, 60, 5
+    X = _noisy_low_rank(rng, d=d, n=n, c=c).values
+    X[:, :6] = 10.0 * rng.standard_normal((d, 6))  # 10% outlier columns
+    routed, dense = _gram_and_dense_fits(X, c, monkeypatch)
     assert routed.iterations == dense.iterations > 1
     np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
     W, W_dense = routed.model.basis, dense.model.basis
     assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-10
+
+
+def _planted_wide(seed, d=200, n=50, c=4, drag=0.0):
+    """Rank-c data around offset 5 with noise 0.05 and 10% outlier columns
+    (+N(0,1) on every entry); ``drag`` also moves the outliers together by
+    ``drag * N(0,1)`` per feature, which drags the sample mean away."""
+    rng = np.random.default_rng(seed)
+    B = np.linalg.qr(rng.standard_normal((d, c)))[0]
+    X = 5.0 + B @ (3.0 * rng.standard_normal((c, n))) + 0.05 * rng.standard_normal((d, n))
+    k = n // 10
+    X[:, :k] += rng.standard_normal((d, k)) + drag * rng.standard_normal(d)[:, None]
+    return X
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_once_per_fit_gram_matches_the_dense_fit_on_planted_wide_data(seed, monkeypatch):
+    routed, dense = _gram_and_dense_fits(_planted_wide(seed), 4, monkeypatch)
+    assert routed.iterations == dense.iterations > 1
+    np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
+    W, W_dense = routed.model.basis, dense.model.basis
+    assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-12
+
+
+def test_gram_update_holds_when_outliers_drag_the_initial_mean(monkeypatch):
+    # The outliers sit ~1400 from the inliers, whose columns have norm ~6
+    # about their mean; the Gram formed at the sample mean is updated by
+    # rank-2 corrections over a shift of ~120 and still matches the dense
+    # fit as closely as a Gram formed afresh each iteration does.  Seeds 0
+    # and 1 each have one basis step whose mapped basis drifts past 1e-12
+    # and is repaired on the route.
+    for seed in range(3):
+        X = _planted_wide(seed, drag=100.0)
+        routed, dense = _gram_and_dense_fits(X, 4, monkeypatch)
+        assert np.linalg.norm(routed.model.translation - X.mean(axis=1)) > 100.0
+        assert routed.iterations == dense.iterations > 10
+        np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
+        W, W_dense = routed.model.basis, dense.model.basis
+        assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-20, 1e-100])
+def test_fit_is_equivariant_under_scaling_data_and_sigma(scale):
+    """X -> sX, sigma -> s*sigma multiplies the loss by one constant, so the
+    fit must not move: no constant in the coefficient or the descent guard
+    may be absolute."""
+    rng = np.random.default_rng(0)
+    B = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    X = B @ rng.standard_normal((3, 40)) + 0.01 * rng.standard_normal((6, 40))
+    X[:, :4] += 5.0 * rng.standard_normal((6, 4))  # outlier columns
+    unit = epca_fit(X, 2, SigmaLossParams(1.0))
+    scaled = epca_fit(scale * X, 2, SigmaLossParams(scale))
+    assert scaled.iterations == unit.iterations > 5
+    np.testing.assert_array_equal(scaled.active_count_trace, unit.active_count_trace)
+    W, W_unit = scaled.model.basis, unit.model.basis
+    assert np.linalg.norm(W @ W.T - W_unit @ W_unit.T, 2) <= 1e-12
 
 
 class TestTransformReconstruct:

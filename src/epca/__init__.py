@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .baselines import fit_classical_pca, fit_pca_om
 from .core import DataMatrix, RngHandle, top_eigenpairs
-from .corobust import WeightVector, objective_value, solve_weights
+from .corobust import WeightVector, solve_weights
 from .errors import (
     DimensionError,
     EpcaError,
@@ -36,8 +36,8 @@ from .harness import (
     ingest_csv,
     run_experiment,
 )
-from .sigmaloss import SigmaLossParams, irls_coefficient, sigma_norm_matrix, sigma_norm_vector
-from .solver import EpcaFitState, SubspaceModel, epca_fit, epca_objective, reconstruct, transform
+from .sigmaloss import SigmaLossParams
+from .solver import EpcaFitState, SubspaceModel, epca_fit, reconstruct, transform
 
 __all__ = [
     "CorruptionSpec",
@@ -59,20 +59,15 @@ __all__ = [
     "clustering_accuracy",
     "corrupt",
     "epca_fit",
-    "epca_objective",
     "fit_classical_pca",
     "fit_method",
     "fit_pca_om",
     "grid_search_sigma",
     "ingest_csv",
-    "irls_coefficient",
     "mean_clustering_accuracy",
-    "objective_value",
     "reconstruct",
     "reconstruction_error",
     "run_experiment",
-    "sigma_norm_matrix",
-    "sigma_norm_vector",
     "solve_weights",
     "top_eigenpairs",
     "transform",

@@ -161,11 +161,12 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
     the scatter is built and decomposed by a full ``eigh``.  The scatter is
     ``A @ A.T`` for unit weights and ``(A * weights) @ A.T`` otherwise.
 
-    ``gram``, if given, must hold ``A.T @ A`` and saves the O(d n^2)
-    product: the alternating fit forms that product once per fit and
-    updates it as its mean moves.  The call overwrites the buffer (it is
-    scaled in place, then LAPACK works in it), so ``gram`` no longer holds
-    ``A.T @ A`` afterwards; the scatter route ignores it.
+    ``gram``, if given, must be a writeable float64 array holding
+    ``A.T @ A``; it saves the O(d n^2) product: the alternating fit forms
+    that product once per fit and updates it as its mean moves.  The call
+    overwrites the buffer (it is scaled in place, then LAPACK works in it),
+    so ``gram`` no longer holds ``A.T @ A`` afterwards; the scatter route
+    ignores it.
 
     The gauge convention makes the output reproducible:
 
@@ -187,8 +188,13 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
         raise DimensionError(f"weights shape {w.shape} != ({n},)")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValidationError("weights must be finite and nonnegative")
-    if gram is not None and gram.shape != (n, n):
-        raise DimensionError(f"gram shape {gram.shape} != ({n}, {n})")
+    if gram is not None:
+        kind = (f"{gram.dtype} array{'' if gram.flags.writeable else ' (read-only)'}"
+                if isinstance(gram, np.ndarray) else type(gram).__name__)
+        if kind != "float64 array":
+            raise ValidationError(f"gram must be a writeable float64 array, got {kind}")
+        if gram.shape != (n, n):
+            raise DimensionError(f"gram shape {gram.shape} != ({n}, {n})")
 
     if gram_route(d, n, c):
         # A non-finite Gram, a tie at the boundary or a basis that stays
@@ -234,9 +240,9 @@ def _dense_top_eigenpairs(S, c):
     """Top-c eigenpairs of the d-by-d scatter ``S`` by a full ``eigh``, gauged."""
     if not np.all(np.isfinite(S)):
         raise ValidationError("matrix entries must be finite")
+    # eigh returns the eigenvalues in ascending order.
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
-    order = np.argsort(evals, kind="stable")[::-1]
-    evals, evecs = _apply_gauge(evals[order], evecs[:, order])
+    evals, evecs = _apply_gauge(evals[::-1], evecs[:, ::-1])
     return evals[:c].copy(), evecs[:, :c].copy()
 
 

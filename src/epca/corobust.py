@@ -53,7 +53,7 @@ class WeightVector:
     weights: np.ndarray
     active_count: int
     lam: float
-    complements: np.ndarray = None
+    complements: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -68,13 +68,10 @@ class WeightVector:
                 f"{np.count_nonzero(w > 0)} positive weights but "
                 f"active_count={self.active_count}"
             )
-        self.weights = w
-        if self.complements is None:
-            self.complements = 1.0 - w
-        else:
-            self.complements = np.asarray(self.complements, dtype=float)
-            if self.complements.shape != w.shape:
-                raise DimensionError("complements shape must match weights")
+        comp = np.asarray(self.complements, dtype=float)
+        if comp.shape != w.shape:
+            raise DimensionError("complements shape must match weights")
+        self.weights, self.complements = w, comp
 
 
 def solve_weights(losses) -> WeightVector:
@@ -120,12 +117,3 @@ def solve_weights(losses) -> WeightVector:
     comp[order] = np.where(active, ratio, 1.0)
     return WeightVector(w, k, float(lam_sqrt**2), complements=comp)
 
-
-def objective_value(losses, wv: WeightVector) -> float:
-    """Evaluate sum_i f_i / (1 - w_i) at the given weights."""
-    f = np.asarray(losses, dtype=float)
-    if f.shape != wv.weights.shape:
-        raise DimensionError(
-            f"losses length {f.size} != weights length {wv.weights.size}"
-        )
-    return float(np.sum(f / wv.complements))

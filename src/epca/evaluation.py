@@ -191,6 +191,8 @@ def clustering_accuracy(predicted, truth: LabelVector) -> float:
         raise DimensionError(
             f"predicted length {pred.size} != truth length {truth.labels.size}"
         )
+    if pred.size == 0:
+        raise DimensionError("need at least one label to score")
     _, pred_ids = np.unique(pred, return_inverse=True)
     k = max(pred_ids.max() + 1, truth.class_count)
     confusion = np.bincount(pred_ids * k + truth.labels, minlength=k * k).reshape(k, k)

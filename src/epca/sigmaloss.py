@@ -91,31 +91,3 @@ def descent_converged(trace, tol, scale) -> bool:
         )
     return prev - obj <= tol * max(abs(prev), noise_floor)
 
-
-def sigma_norm_vector(a, p: SigmaLossParams) -> float:
-    """Point-wise loss (1+sigma)*||a||^2 / (||a|| + sigma); zero vector -> 0."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("vector entries must be finite")
-    return loss_kernel(float(np.linalg.norm(a)), p.sigma)
-
-
-def sigma_norm_matrix(A, p: SigmaLossParams) -> float:
-    """Sum of the point-wise loss over the columns of A."""
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise ValidationError("matrix entries must be finite")
-    return float(np.sum(loss_kernel(np.linalg.norm(np.atleast_2d(A), axis=0), p.sigma)))
-
-
-def irls_coefficient(residual_norm, p: SigmaLossParams):
-    """Surrogate weight d = (1+sigma)(r + 2 sigma) / (2 (r + sigma)^2).
-
-    Accepts a scalar or an array of residual norms; strictly positive and
-    finite for every r >= 0 when sigma > 0.
-    """
-    r = np.asarray(residual_norm, dtype=float)
-    if not np.all(np.isfinite(r)) or np.any(r < 0):
-        raise ValidationError("residual norms must be finite and nonnegative")
-    d = coefficient_kernel(r, p.sigma)
-    return float(d) if np.isscalar(residual_norm) else d

@@ -49,6 +49,8 @@ class SubspaceModel:
         W = np.asarray(self.basis, dtype=float)
         m = np.asarray(self.translation, dtype=float)
         V = np.asarray(self.coordinates, dtype=float)
+        if W.ndim != 2:
+            raise DimensionError(f"basis must be a 2-D matrix, got ndim={W.ndim}")
         d, c = W.shape
         if not (1 <= c < d):
             raise DimensionError(f"need 1 <= c < d, got c={c}, d={d}")
@@ -217,15 +219,3 @@ def reconstruct(model: SubspaceModel, V) -> np.ndarray:
         )
     return model.basis @ V + model.translation[:, None]
 
-
-def epca_objective(X: DataMatrix, state: EpcaFitState, p: SigmaLossParams) -> float:
-    """Evaluate sum_i 1/(1-alpha_i) * sigma_loss(x_i - m - W v_i) at the state."""
-    Xv = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    model = state.model
-    if Xv.shape[0] != model.basis.shape[0]:
-        raise DimensionError("feature count mismatch between X and the model")
-    if Xv.shape[1] != model.coordinates.shape[1]:
-        raise DimensionError("sample count mismatch between X and the stored coordinates")
-    res = Xv - model.translation[:, None] - model.basis @ model.coordinates
-    rn = np.linalg.norm(res, axis=0)
-    return float(np.sum(loss_kernel(rn, p.sigma) / state.alpha.complements))

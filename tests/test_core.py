@@ -287,3 +287,13 @@ class TestTopEigenpairsWeighted:
             top_eigenpairs(A, 1, [1.0, -1.0, 1.0])
         with pytest.raises(ValidationError):
             top_eigenpairs(A, 1, [1.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("gram, error", [
+        ([[0.0] * 3] * 3, ValidationError),
+        (np.zeros((3, 3), dtype=np.int64), ValidationError),
+        (np.broadcast_to(0.0, (3, 3)), ValidationError),
+        (np.zeros((4, 4)), DimensionError),
+    ], ids=["list", "int64", "read-only", "shape"])
+    def test_rejects_a_bad_gram_buffer(self, gram, error):
+        with pytest.raises(error, match="gram"):
+            top_eigenpairs(np.ones((6, 3)), 1, np.ones(3), gram=gram)

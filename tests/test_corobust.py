@@ -2,7 +2,8 @@
 
 The solver minimizes sum_i f_i/(1-w_i) over the probability simplex; its
 closed form is checked against an independent projected-gradient oracle and
-against hand-derived small instances.
+against hand-derived small instances.  The objective is evaluated as the fit
+evaluates it, ``sum(f / wv.complements)``.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from epca import (
     InvariantError,
     ValidationError,
     WeightVector,
-    objective_value,
     solve_weights,
 )
 
@@ -56,7 +56,7 @@ class TestSolveWeightsProperties:
             n = int(rng.integers(3, 21))
             f = rng.uniform(0.05, 10.0, n)
             wv = solve_weights(f)
-            mine = objective_value(f, wv)
+            mine = np.sum(f / wv.complements)
             _, oracle = simplex_weight_oracle(f)
             assert mine <= oracle + 1e-6
 
@@ -111,7 +111,7 @@ class TestSolveWeightsProperties:
         assert wv.active_count == 1
         assert wv.weights[0] > wv.weights[1] == wv.weights[2] == 0.0
         assert wv.lam == 0.0
-        assert objective_value(f, wv) == 5.0
+        assert np.sum(f / wv.complements) == 5.0
 
     def test_numerically_vanishing_loss_counts_as_zero(self):
         """A loss below (eps * sqrt(max f))**2 vanishes next to the others'
@@ -121,7 +121,7 @@ class TestSolveWeightsProperties:
         assert wv.active_count == 1
         assert abs(wv.weights.sum() - 1.0) <= 1e-12 * 3
         assert np.count_nonzero(wv.weights) == wv.active_count
-        assert objective_value(f, wv) == 13.0
+        assert np.sum(f / wv.complements) == 13.0
 
     def test_rounded_partial_sum_still_ends_the_activation_scan(self):
         """The partial sums of sqrt(f) round 1 + 2.5e-16 + 1 to 2, so no k
@@ -131,7 +131,7 @@ class TestSolveWeightsProperties:
         wv = solve_weights(f)
         assert wv.active_count == 2
         assert wv.weights[1] > wv.weights[0] > wv.weights[2] == 0.0
-        assert objective_value(f, wv) == pytest.approx(2.0, rel=1e-15)
+        assert np.sum(f / wv.complements) == pytest.approx(2.0, rel=1e-15)
 
     def test_degenerate_magnitudes_land_on_the_simplex(self):
         """Exact zeros, subnormals and losses from 1e-40 to 1e40, mixed."""
@@ -148,7 +148,7 @@ class TestSolveWeightsProperties:
             assert abs(w.sum() - 1.0) <= 1e-12 * n
             assert np.all(w >= 0) and np.all(w < 1)
             assert np.count_nonzero(w) == wv.active_count
-            mine = objective_value(f, wv)
+            mine = np.sum(f / wv.complements)
             if np.all(f > 0):
                 _, oracle = simplex_weight_oracle(f, iters=400)
                 assert mine <= oracle + 1e-6
@@ -173,41 +173,46 @@ class TestSolveWeightsValidation:
 
 
 class TestWeightVectorInvariants:
+    @staticmethod
+    def _weights(w, active_count):
+        w = np.array(w)
+        return WeightVector(w, active_count, 1.0, 1.0 - w)
+
     def test_rejects_weights_outside_unit_interval(self):
         with pytest.raises(InvariantError):
-            WeightVector(np.array([1.0, 0.0]), 1, 1.0)
+            self._weights([1.0, 0.0], 1)
         with pytest.raises(InvariantError):
-            WeightVector(np.array([-0.1, 1.1]), 2, 1.0)
+            self._weights([-0.1, 1.1], 2)
 
     def test_rejects_wrong_sum(self):
         with pytest.raises(InvariantError):
-            WeightVector(np.array([0.4, 0.4]), 2, 1.0)
+            self._weights([0.4, 0.4], 2)
 
     def test_rejects_wrong_active_count(self):
         with pytest.raises(InvariantError):
-            WeightVector(np.array([0.5, 0.5, 0.0]), 3, 1.0)
+            self._weights([0.5, 0.5, 0.0], 3)
 
-    def test_default_complements_fill_in(self):
-        wv = WeightVector(np.array([0.25, 0.75, 0.0]), 2, 1.0)
-        np.testing.assert_allclose(wv.complements, [0.75, 0.25, 1.0])
+    def test_rejects_complements_of_another_shape(self):
+        with pytest.raises(DimensionError):
+            WeightVector(np.array([0.5, 0.5, 0.0]), 2, 1.0, np.ones(2))
 
 
 class TestObjectiveValue:
+    """The objective sum(f / complements) at the solver's weights."""
+
     def test_uniform_weights(self):
-        wv = solve_weights([1.0, 1.0, 1.0])
-        assert objective_value([1.0, 1.0, 1.0], wv) == pytest.approx(4.5, rel=1e-14)
+        f = np.array([1.0, 1.0, 1.0])
+        wv = solve_weights(f)
+        assert np.sum(f / wv.complements) == pytest.approx(4.5, rel=1e-14)
 
     def test_hand_computed_instance(self):
-        wv = solve_weights([1.0, 4.0, 9.0])
-        assert objective_value([1.0, 4.0, 9.0], wv) == pytest.approx(18.0, rel=1e-14)
+        f = np.array([1.0, 4.0, 9.0])
+        wv = solve_weights(f)
+        assert np.sum(f / wv.complements) == pytest.approx(18.0, rel=1e-14)
 
     def test_inactive_samples_contribute_their_raw_loss(self):
-        wv = solve_weights([1.0, 1.0, 100.0])
+        f = np.array([1.0, 1.0, 100.0])
+        wv = solve_weights(f)
         # third sample carries weight 0, so it adds exactly f_3
-        total = objective_value([1.0, 1.0, 100.0], wv)
-        assert total == pytest.approx(2.0 + 2.0 + 100.0, rel=1e-14)
-
-    def test_rejects_length_mismatch(self):
-        wv = solve_weights([1.0, 2.0, 3.0])
-        with pytest.raises(DimensionError):
-            objective_value([1.0, 2.0], wv)
+        assert wv.complements[2] == 1.0
+        assert np.sum(f / wv.complements) == pytest.approx(2.0 + 2.0 + 100.0, rel=1e-14)

@@ -267,6 +267,11 @@ class TestClusteringAccuracy:
         with pytest.raises(DimensionError):
             clustering_accuracy(np.array([0, 1, 0]), truth)
 
+    def test_rejects_empty_labels(self):
+        truth = LabelVector(np.array([], dtype=int), 1)
+        with pytest.raises(DimensionError, match="at least one label"):
+            clustering_accuracy([], truth)
+
     def test_predictions_must_be_whole_numbers(self):
         truth = LabelVector(np.array([0, 1]), 2)
         assert clustering_accuracy(np.array([1.0, 0.0]), truth) == 1.0

@@ -69,3 +69,12 @@ def test_every_private_definition_is_referenced_in_the_package():
                           for name, line in _private_definitions(tree).items()
                           if name not in referenced)
     assert unreferenced == []
+
+
+def test_every_exported_name_is_used_in_the_package():
+    # reconstruct is the documented inverse of transform and appears in the
+    # README quick start, so it stays public without a caller in the package.
+    exempt = {"reconstruct"}
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+                               for p in MODULES))
+    assert sorted(set(epca.__all__) - referenced - exempt) == []

@@ -3,20 +3,25 @@
 The loss (1+sigma)||a||^2/(||a||+sigma) interpolates between the l2,1 norm
 (sigma -> 0) and the squared Frobenius norm (sigma -> inf); the coefficient
 d(r) gives its gradient 2*d*a and a quadratic surrogate that majorizes it.
-Limit behavior, the gradient identity and the majorization inequality are
-checked against independent computations.
+Both are checked on the kernels every fit evaluates, ``loss_kernel`` and
+``coefficient_kernel`` of residual norms.  Limit behavior, the gradient
+identity and the majorization inequality are checked against independent
+computations.
 """
 
 import numpy as np
 import pytest
 
-from epca import (
-    SigmaLossParams,
-    ValidationError,
-    irls_coefficient,
-    sigma_norm_matrix,
-    sigma_norm_vector,
-)
+from epca import SigmaLossParams, ValidationError
+from epca.sigmaloss import coefficient_kernel, loss_kernel
+
+
+def _vector_loss(a, sigma):
+    return loss_kernel(np.linalg.norm(a), sigma)
+
+
+def _matrix_loss(A, sigma):
+    return np.sum(loss_kernel(np.linalg.norm(A, axis=0), sigma))
 
 
 class TestSigmaLossParams:
@@ -38,118 +43,104 @@ class TestSigmaNormVector:
     def test_unit_norm_gives_one_for_any_sigma(self):
         for sigma in (1e-8, 0.1, 1.0, 50.0, 1e8):
             a = np.array([0.6, 0.8])  # norm exactly 1
-            assert sigma_norm_vector(a, SigmaLossParams(sigma)) == pytest.approx(
+            assert _vector_loss(a, sigma) == pytest.approx(
                 1.0, rel=1e-12
             )
 
     def test_zero_vector_gives_zero(self):
-        assert sigma_norm_vector(np.zeros(4), SigmaLossParams(1.0)) == 0.0
+        assert _vector_loss(np.zeros(4), 1.0) == 0.0
 
     def test_norm_three_sigma_one(self):
         a = np.array([3.0, 0.0])
-        assert sigma_norm_vector(a, SigmaLossParams(1.0)) == pytest.approx(4.5, rel=1e-14)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            sigma_norm_vector(np.array([1.0, np.nan]), SigmaLossParams(1.0))
+        assert _vector_loss(a, 1.0) == pytest.approx(4.5, rel=1e-14)
 
 
 class TestSigmaNormMatrix:
     def test_identity_two_by_two(self):
         for sigma in (0.01, 1.0, 100.0):
-            assert sigma_norm_matrix(np.eye(2), SigmaLossParams(sigma)) == pytest.approx(
+            assert _matrix_loss(np.eye(2), sigma) == pytest.approx(
                 2.0, rel=1e-12
             )
 
     def test_zero_matrix(self):
-        assert sigma_norm_matrix(np.zeros((3, 4)), SigmaLossParams(2.0)) == 0.0
+        assert _matrix_loss(np.zeros((3, 4)), 2.0) == 0.0
 
     def test_column_norms_one_and_three(self):
         A = np.array([[1.0, 0.0], [0.0, 3.0]])
-        assert sigma_norm_matrix(A, SigmaLossParams(1.0)) == pytest.approx(5.5, rel=1e-14)
+        assert _matrix_loss(A, 1.0) == pytest.approx(5.5, rel=1e-14)
 
     def test_matches_sum_of_vector_losses(self):
         rng = np.random.default_rng(13)
         A = rng.standard_normal((5, 8))
-        p = SigmaLossParams(0.7)
-        expected = sum(sigma_norm_vector(A[:, j], p) for j in range(8))
-        assert sigma_norm_matrix(A, p) == pytest.approx(expected, rel=1e-12)
+        expected = sum(_vector_loss(A[:, j], 0.7) for j in range(8))
+        assert _matrix_loss(A, 0.7) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLimits:
     def test_small_sigma_approaches_l21(self):
         rng = np.random.default_rng(3)
-        p = SigmaLossParams(1e-8)
         for _ in range(10):
             A = rng.standard_normal((6, 10))
             A *= rng.uniform(0.1, 10.0, 10) / np.linalg.norm(A, axis=0)
             l21 = np.linalg.norm(A, axis=0).sum()
-            assert abs(sigma_norm_matrix(A, p) - l21) <= 1e-6 * l21
+            assert abs(_matrix_loss(A, 1e-8) - l21) <= 1e-6 * l21
 
     def test_large_sigma_approaches_squared_frobenius(self):
         rng = np.random.default_rng(4)
-        p = SigmaLossParams(1e8)
         for _ in range(10):
             A = rng.standard_normal((6, 10))
             A *= rng.uniform(0.1, 10.0, 10) / np.linalg.norm(A, axis=0)
             fro2 = np.sum(A * A)
-            assert sigma_norm_matrix(A, p) / fro2 == pytest.approx(1.0, abs=1e-6)
+            assert _matrix_loss(A, 1e8) / fro2 == pytest.approx(1.0, abs=1e-6)
 
     def test_not_positively_homogeneous(self):
         """Scaling the argument by 2 does not scale the loss by 2 (not a norm)."""
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 6))
-        p = SigmaLossParams(1.0)
-        assert abs(sigma_norm_matrix(2.0 * A, p) - 2.0 * sigma_norm_matrix(A, p)) > 0
+        assert abs(_matrix_loss(2.0 * A, 1.0) - 2.0 * _matrix_loss(A, 1.0)) > 0
 
 
 class TestIrlsCoefficient:
     def test_unit_residual_sigma_one(self):
-        assert irls_coefficient(1.0, SigmaLossParams(1.0)) == pytest.approx(0.75, rel=1e-14)
+        assert coefficient_kernel(1.0, 1.0) == pytest.approx(0.75, rel=1e-14)
 
     def test_zero_residual_sigma_one(self):
-        assert irls_coefficient(0.0, SigmaLossParams(1.0)) == pytest.approx(2.0, rel=1e-14)
+        assert coefficient_kernel(0.0, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_zero_residual_sigma_half(self):
-        assert irls_coefficient(0.0, SigmaLossParams(0.5)) == pytest.approx(3.0, rel=1e-14)
+        assert coefficient_kernel(0.0, 0.5) == pytest.approx(3.0, rel=1e-14)
 
     def test_array_input_matches_scalar(self):
-        p = SigmaLossParams(0.3)
         r = np.array([0.0, 0.5, 2.0])
-        out = irls_coefficient(r, p)
+        out = coefficient_kernel(r, 0.3)
         for i, ri in enumerate(r):
-            assert out[i] == pytest.approx(irls_coefficient(float(ri), p), rel=1e-15)
+            assert out[i] == pytest.approx(coefficient_kernel(float(ri), 0.3), rel=1e-15)
 
     def test_strictly_positive_and_finite(self):
-        p = SigmaLossParams(1e-8)
         r = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 40)])
-        d = irls_coefficient(r, p)
+        d = coefficient_kernel(r, 1e-8)
         assert np.all(d > 0) and np.all(np.isfinite(d))
 
     def test_zero_residual_at_tiny_sigma_is_finite(self):
         # (r + sigma)**2 underflows here; the norms are clamped at 2**-500.
         with np.errstate(all="raise"):
-            d = irls_coefficient(0.0, SigmaLossParams(1e-200))
+            d = coefficient_kernel(0.0, 1e-200)
         assert np.isfinite(d) and d > 0
 
-    def test_rejects_negative_residual(self):
-        with pytest.raises(ValidationError):
-            irls_coefficient(-0.1, SigmaLossParams(1.0))
-
     def test_gradient_identity_against_finite_differences(self):
-        """grad sigma_norm_vector(a) = 2 * d(||a||) * a."""
+        """grad loss(||a||) = 2 * d(||a||) * a."""
         rng = np.random.default_rng(17)
         for _ in range(10):
             a = rng.standard_normal(5) * rng.uniform(0.2, 3.0)
-            p = SigmaLossParams(10 ** rng.uniform(-2, 2))
-            analytic = 2.0 * irls_coefficient(float(np.linalg.norm(a)), p) * a
+            sigma = 10 ** rng.uniform(-2, 2)
+            analytic = 2.0 * coefficient_kernel(np.linalg.norm(a), sigma) * a
             h = 1e-6
             numeric = np.empty_like(a)
             for i in range(a.size):
                 e = np.zeros_like(a)
                 e[i] = h
                 numeric[i] = (
-                    sigma_norm_vector(a + e, p) - sigma_norm_vector(a - e, p)
+                    _vector_loss(a + e, sigma) - _vector_loss(a - e, sigma)
                 ) / (2 * h)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
@@ -162,9 +153,9 @@ class TestMajorizationInequality:
             dim = int(rng.integers(1, 8))
             x = rng.standard_normal(dim) * rng.uniform(0, 4)
             y = rng.standard_normal(dim) * rng.uniform(0, 4)
-            p = SigmaLossParams(10 ** rng.uniform(-3, 3))
+            sigma = 10 ** rng.uniform(-3, 3)
             rx, ry = np.linalg.norm(x), np.linalg.norm(y)
-            dy = irls_coefficient(float(ry), p)
-            lhs = sigma_norm_vector(x, p) - dy * rx * rx
-            rhs = sigma_norm_vector(y, p) - dy * ry * ry
+            dy = coefficient_kernel(ry, sigma)
+            lhs = loss_kernel(rx, sigma) - dy * rx * rx
+            rhs = loss_kernel(ry, sigma) - dy * ry * ry
             assert rhs - lhs >= -1e-12

@@ -6,8 +6,6 @@ and the structural invariants of the fitted state (simplex weights, exact
 eta bookkeeping, projector idempotence).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -25,20 +23,17 @@ from epca import (
     ValidationError,
     corrupt,
     epca_fit,
-    epca_objective,
     fit_classical_pca,
     fit_pca_om,
-    irls_coefficient,
     mean_clustering_accuracy,
-    objective_value,
     reconstruct,
     reconstruction_error,
-    sigma_norm_vector,
     top_eigenpairs,
     transform,
 )
 import epca.core
 import epca.solver
+from epca.sigmaloss import coefficient_kernel, loss_kernel
 
 from oracles import largest_principal_angle
 
@@ -451,7 +446,7 @@ class TestTransformReconstruct:
         resid = X.values - reconstruct(state.model, state.model.coordinates)
         rn = np.linalg.norm(resid, axis=0)
         np.testing.assert_allclose(
-            irls_coefficient(rn, p), state.irls_coeffs, rtol=1e-10, atol=1e-13
+            coefficient_kernel(rn, p.sigma), state.irls_coeffs, rtol=1e-10, atol=1e-13
         )
 
     def test_transform_rejects_row_mismatch(self, model):
@@ -463,27 +458,28 @@ class TestTransformReconstruct:
             reconstruct(model, np.ones((4, 3)))
 
 
+def _objective(X, model, alpha, p):
+    """sum_i loss(||x_i - m - W v_i||) / (1 - alpha_i) at a model and weights."""
+    resid = X.values - model.translation[:, None] - model.basis @ model.coordinates
+    return np.sum(loss_kernel(np.linalg.norm(resid, axis=0), p.sigma) / alpha.complements)
+
+
 class TestObjective:
     def test_perfect_fit_objective_is_zero(self):
         rng = np.random.default_rng(30)
         X, _ = _affine_rank_c(rng)
-        p = SigmaLossParams(1.0)
-        state = epca_fit(X, 3, p)
-        assert epca_objective(X, state, p) == pytest.approx(0.0, abs=1e-12)
+        state = epca_fit(X, 3, SigmaLossParams(1.0))
+        assert state.objective_trace[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_composition_of_loss_and_weight_primitives(self):
+        """The last recorded objective is the loss of the returned model's
+        residuals over the returned weights' complements."""
         rng = np.random.default_rng(31)
         X = _noisy_low_rank(rng, d=8, n=25, c=2)
         p = SigmaLossParams(0.9)
         state = epca_fit(X, 2, p, max_iter=5)
-        resid = (
-            X.values
-            - state.model.translation[:, None]
-            - state.model.basis @ state.model.coordinates
-        )
-        losses = np.array([sigma_norm_vector(resid[:, i], p) for i in range(25)])
-        expected = objective_value(losses, state.alpha)
-        assert epca_objective(X, state, p) == pytest.approx(expected, rel=1e-12)
+        expected = _objective(X, state.model, state.alpha, p)
+        assert state.objective_trace[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_unchanged_along_the_translation_family(self):
         """Shifting m by W beta (and the coordinates by -beta) leaves the
@@ -492,7 +488,7 @@ class TestObjective:
         X = _noisy_low_rank(rng)
         p = SigmaLossParams(1.0)
         state = epca_fit(X, 3, p)
-        base = epca_objective(X, state, p)
+        base = _objective(X, state.model, state.alpha, p)
         for _ in range(2):
             beta = rng.standard_normal(3)
             shifted_model = SubspaceModel(
@@ -500,18 +496,8 @@ class TestObjective:
                 state.model.translation + state.model.basis @ beta,
                 state.model.coordinates - beta[:, None],
             )
-            shifted = dataclasses.replace(state, model=shifted_model)
-            assert epca_objective(X, shifted, p) == pytest.approx(base, rel=1e-10)
-
-    def test_rejects_shape_mismatch(self):
-        rng = np.random.default_rng(33)
-        X = _noisy_low_rank(rng)
-        p = SigmaLossParams(1.0)
-        state = epca_fit(X, 3, p)
-        with pytest.raises(DimensionError):
-            epca_objective(DataMatrix(np.ones((5, 80))), state, p)
-        with pytest.raises(DimensionError):
-            epca_objective(DataMatrix(np.ones((12, 7))), state, p)
+            shifted = _objective(X, shifted_model, state.alpha, p)
+            assert shifted == pytest.approx(base, rel=1e-10)
 
 
 class TestSubspaceModelInvariants:
@@ -522,6 +508,11 @@ class TestSubspaceModelInvariants:
     def test_rejects_rank_equal_to_dimension(self):
         with pytest.raises(DimensionError):
             SubspaceModel(np.eye(3), np.zeros(3), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("basis", [np.ones(3), np.ones((3, 1, 1))], ids=["1-D", "3-D"])
+    def test_rejects_basis_that_is_not_a_matrix(self, basis):
+        with pytest.raises(DimensionError, match="basis must be a 2-D matrix"):
+            SubspaceModel(basis, np.zeros(3), np.zeros((1, 2)))
 
     def test_rejects_translation_shape(self):
         with pytest.raises(DimensionError):

@@ -114,11 +114,13 @@ class RngHandle:
 
 
 def as_integer(value, name: str) -> int:
-    """``value`` as a Python int; any integer type (numpy's too) is accepted."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int; any integer type (numpy's too) but bool is accepted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_rank(c, limit: int) -> int:

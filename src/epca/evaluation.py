@@ -18,6 +18,9 @@ from scipy.optimize import linear_sum_assignment
 from .core import DataMatrix, RngHandle, as_integer
 from .errors import DimensionError, ValidationError
 
+# Size of each work array of one block of k-means runs, in doubles.
+_BLOCK_DOUBLES = 2**17
+
 
 @dataclass(frozen=True)
 class CorruptionSpec:
@@ -144,44 +147,105 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
     return float(np.sum(diff * diff))
 
 
-def _kmeans_once(P, k, gen):
-    """One k-means++ seeded Lloyd run on points P (columns). Returns the labels."""
+def _kmeans_pp(P, k, gens, work):
+    """k-means++ centres on points P (columns), one set per generator.
+
+    Centre j of the run that draws from ``gens[r]`` is ``centers[:, r, j]``.
+    ``work`` is an ``(R, dim, n)`` scratch array.
+    """
     dim, n = P.shape
-    centers = np.empty((dim, k))
-    d2 = np.full(n, np.inf)
+    runs = len(gens)
+    centers = np.empty((dim, runs, k))
+    nearest = np.empty((runs, n))
+    d2 = np.full((runs, n), np.inf)
     for j in range(k):
-        # The first centre is drawn uniformly, the rest by squared distance.
-        total = d2.sum() if j else 0.0
-        pick = gen.choice(n, p=d2 / total) if total > 0 else gen.integers(n)
-        centers[:, j] = P[:, pick]
-        d2 = np.minimum(d2, np.sum((P - centers[:, [j]]) ** 2, axis=0))
+        # The first centre is drawn uniformly, the rest by squared distance,
+        # from the cdf and the one uniform draw of gen.choice(n, p=d2 / total).
+        total = d2.sum(axis=1) if j else np.zeros(runs)
+        drawn = total > 0
+        cdf = np.cumsum(d2[drawn] / total[drawn, None], axis=1)
+        cdf /= cdf[:, -1:]
+        draws = np.array([gen.random() if hit else gen.integers(n)
+                          for gen, hit in zip(gens, drawn)])
+        picks = draws.astype(int)
+        picks[drawn] = np.count_nonzero(cdf <= draws[drawn, None], axis=1)
+        centers[:, :, j] = P[:, picks]
+        np.subtract(P, centers[:, :, j].T[:, :, None], out=work)
+        np.square(work, out=work)
+        np.minimum(d2, np.sum(work, axis=1, out=nearest), out=d2)
+    return centers
+
+
+def _kmeans_lockstep(P, k, gens):
+    """k-means++ seeded Lloyd runs on points P (columns), one per generator.
+
+    The runs advance together; row ``r`` of the returned ``(R, n)`` array
+    holds the labels of the run that draws from ``gens[r]``, the same labels
+    that run would give alone.  A run stops when its assignment repeats, or
+    after 300 Lloyd steps.
+    """
+    dim, n = P.shape
+    runs = len(gens)
+    # One buffer holds the seeding's differences, then the Lloyd distances.
+    buf = np.empty(runs * max(dim, k) * n)
+    # Centre j of run r is centers[:, r, j], so one GEMM serves every run.
+    centers = _kmeans_pp(P, k, gens, buf[:runs * dim * n].reshape(runs, dim, n))
 
     sq = np.sum(P * P, axis=0)
-    # Bin (row, cluster) of every entry of P, in P's C order, so one
+    weights = np.tile(P.ravel(), runs)
+    # Bin (run, row, cluster) of every entry of P, in P's C order, so one
     # bincount sums each row's clusters in the same order as a per-row one.
-    row_bins = (np.arange(dim) * k)[:, None]
-    labels = np.full(n, -1)
+    row_bins = (np.arange(runs * dim) * k).reshape(runs, dim, 1)
+    bins = np.empty(runs * dim * n, dtype=np.intp)
+    labels = np.full((runs, n), -1)
+    active = np.arange(runs)
     for _ in range(300):
-        dists = sq[None, :] - 2.0 * centers.T @ P + np.sum(centers * centers, axis=0)[:, None]
-        new_labels = np.argmin(dists, axis=0)
-        counts = np.bincount(new_labels, minlength=k)
-        if not counts.all():
+        m = active.size
+        C = centers[:, active]
+        # Row (r, j) of dists is sq - 2 c_rj'P + |c_rj|^2, rounded in that
+        # order; the factor -2 is exact, so it goes on the centres.
+        dists = buf[:m * k * n].reshape(m, k, n)
+        np.matmul((-2.0 * C).reshape(dim, m * k).T, P, out=dists.reshape(m * k, n))
+        dists += sq
+        dists += np.sum(C * C, axis=0)[:, :, None]
+        new_labels = _first_min(dists)
+        counts = np.bincount((np.arange(m)[:, None] * k + new_labels).ravel(),
+                             minlength=m * k).reshape(m, k)
+        for a in np.flatnonzero(counts.min(axis=1) == 0):
             # Re-seed empty clusters at the point currently worst-served.
+            run_labels = new_labels[a]
             for j in range(k):
-                if not np.any(new_labels == j):
-                    worst = np.argmax(dists[new_labels, np.arange(n)])
-                    centers[:, j] = P[:, worst]
-                    new_labels[worst] = j
-            counts = np.bincount(new_labels, minlength=k)
-        if np.array_equal(new_labels, labels):
+                if not np.any(run_labels == j):
+                    worst = np.argmax(dists[a][run_labels, np.arange(n)])
+                    centers[:, active[a], j] = P[:, worst]
+                    run_labels[worst] = j
+            counts[a] = np.bincount(run_labels, minlength=k)
+        moving = ~np.all(new_labels == labels[active], axis=1)
+        active, new_labels, counts = active[moving], new_labels[moving], counts[moving]
+        if not active.size:
             break
-        labels = new_labels
+        labels[active] = new_labels
+        m = active.size
+        np.add(row_bins[:m], new_labels[:, None, :], out=bins[:m * dim * n].reshape(m, dim, n))
+        sums = np.bincount(bins[:m * dim * n], weights=weights[:m * dim * n],
+                           minlength=m * dim * k)
         # A cluster the re-seed emptied again keeps its centre.
-        filled = counts > 0
-        sums = np.bincount((row_bins + labels).ravel(), weights=P.ravel(),
-                           minlength=dim * k).reshape(dim, k)
-        centers[:, filled] = sums[:, filled] / counts[filled]
+        C = centers[:, active]
+        np.divide(sums.reshape(m, dim, k).transpose(1, 0, 2), counts, out=C, where=counts > 0)
+        centers[:, active] = C
     return labels
+
+
+def _first_min(D):
+    """``np.argmin(D, axis=1)`` for a 3-D ``D``, without numpy's per-row cost.
+
+    The index of the first minimum is ``k - 1`` less the largest of
+    ``k - 1 - j`` over the ``j`` that hold the minimum.
+    """
+    k = D.shape[1]
+    descending = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]
+    at_min = D == D.min(axis=1, keepdims=True)
+    return (k - 1) - np.max(at_min * descending, axis=1).astype(np.intp)
 
 
 def clustering_accuracy(predicted, truth: LabelVector) -> float:
@@ -208,7 +272,8 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
     deliberately not best-of-restarts, so the number reflects typical rather
     than best-case clustering behavior.  Restart ``r`` runs from its own
     stream ``rng.derive("kmeans", r)``, so the result is reproducible from
-    ``rng`` alone.
+    ``rng`` alone.  The restarts run in lock-step blocks, and each gives the
+    labels it would give run alone.
     """
     P = np.asarray(V, dtype=float)
     if P.ndim != 2:
@@ -221,8 +286,15 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
     restarts = as_integer(restarts, "restarts")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    # Scaling by a power of two is exact, so the labels do not change, and
+    # it keeps the squared distances in range whatever the data's scale.
+    P = np.ldexp(P, -np.frexp(np.max(np.abs(P), initial=0.0))[1])
+    # The runs go in blocks of about _BLOCK_DOUBLES doubles per work array.
+    block = max(1, _BLOCK_DOUBLES // (n * max(P.shape[0], k)))
     accs = []
-    for r in range(restarts):
-        labels = _kmeans_once(P, k, rng.derive("kmeans", r).generator())
-        accs.append(clustering_accuracy(labels, truth))
+    for start in range(0, restarts, block):
+        gens = [rng.derive("kmeans", r).generator()
+                for r in range(start, min(start + block, restarts))]
+        for labels in _kmeans_lockstep(P, k, gens):
+            accs.append(clustering_accuracy(labels, truth))
     return float(np.mean(accs))

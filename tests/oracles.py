@@ -12,37 +12,45 @@ import numpy as np
 
 
 def project_simplex(v):
-    """Euclidean projection of v onto {w : w >= 0, sum w = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1)
-    return np.maximum(v - theta, 0.0)
+    """Euclidean projection of v, or of each row of v, onto {w : w >= 0, sum w = 1}."""
+    v = np.asarray(v, dtype=float)
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[1]
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    # rho is the last index where the sorted value stays above the threshold.
+    rho = n - 1 - np.argmax((u * np.arange(1, n + 1) > (css - 1))[:, ::-1], axis=1)
+    theta = (css[np.arange(len(rows)), rho] - 1.0) / (rho + 1)
+    return np.maximum(v - theta.reshape(v.shape[:-1] + (1,)), 0.0)
 
 
 def simplex_weight_oracle(f, iters=4000):
     """Minimize sum f_i/(1-w_i) over the simplex by projected gradient.
 
-    Returns (weights, objective).  Slow but independent of any closed form.
+    ``f`` is one loss vector, or a matrix whose rows are loss vectors of one
+    length, each minimized on its own.  Returns (weights, objective), with a
+    row of weights and an objective per loss vector.  Slow but independent
+    of any closed form.
     """
     f = np.asarray(f, dtype=float)
-    n = f.size
-    w = np.full(n, 1.0 / n)
+    n = f.shape[-1]
+    w = np.full(f.shape, 1.0 / n)
 
     def obj(w):
-        return float(np.sum(f / (1.0 - w)))
+        return np.sum(f / (1.0 - w), axis=-1)
 
     best_w, best = w, obj(w)
     for t in range(iters):
         g = f / (1.0 - w) ** 2
-        step = 0.5 / (1 + t) ** 0.5 / (np.linalg.norm(g) + 1e-12)
+        step = 0.5 / (1 + t) ** 0.5 / (np.sqrt(np.sum(g * g, axis=-1, keepdims=True)) + 1e-12)
         # Mixing in 1e-9 of the uniform point keeps every w_i below 1, where
         # the objective has its pole, even when the projection returns a vertex.
         w = (1 - 1e-9) * project_simplex(w - step * g) + 1e-9 / n
         val = obj(w)
-        if val < best:
-            best_w, best = w, val
-    return best_w, best
+        better = val < best
+        best_w = np.where(better[..., None], w, best_w)
+        best = np.where(better, val, best)
+    return best_w, (float(best) if f.ndim == 1 else best)
 
 
 def activation_count_candidates(f):

@@ -4,6 +4,7 @@ reconstruction error against clean data, k-means, and clustering accuracy."""
 import numpy as np
 import pytest
 
+import epca.evaluation
 from epca import (
     CorruptionSpec,
     DataMatrix,
@@ -16,7 +17,7 @@ from epca import (
     mean_clustering_accuracy,
     reconstruction_error,
 )
-from epca.evaluation import _kmeans_once
+from epca.evaluation import _kmeans_lockstep
 from oracles import kmeans_oracle
 
 
@@ -224,7 +225,7 @@ class TestKmeans:
         P = centres[:, rng.integers(4, size=60)] + rng.standard_normal((3, 60))
         stream = RngHandle(seed).derive("kmeans", 0)
         expected, _ = kmeans_oracle(P, 4, stream.generator())
-        assert _kmeans_once(P, 4, stream.generator()).tolist() == expected
+        assert _kmeans_lockstep(P, 4, [stream.generator()])[0].tolist() == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_empty_cluster_reseed_matches_the_reference(self, seed):
@@ -234,7 +235,38 @@ class TestKmeans:
         stream = RngHandle(seed).derive("kmeans", 0)
         expected, reseeds = kmeans_oracle(P, 6, stream.generator())
         assert reseeds > 0
-        assert _kmeans_once(P, 6, stream.generator()).tolist() == expected
+        assert _kmeans_lockstep(P, 6, [stream.generator()])[0].tolist() == expected
+
+    def test_runs_of_one_call_each_match_the_reference(self):
+        # Twelve runs on a 2-D cloud with a few far points, k=5: they need one
+        # to seven centre updates, and one of them re-seeds empty clusters.
+        rng = np.random.default_rng(577)
+        P = rng.standard_normal((2, 24)) * np.where(rng.random(24) < 0.2, 8.0, 1.0)
+        streams = [RngHandle(577).derive("kmeans", r) for r in range(12)]
+        labels = _kmeans_lockstep(P, 5, [s.generator() for s in streams])
+        steps, reseeds = set(), []
+        for run, stream in zip(labels, streams):
+            expected, count = kmeans_oracle(P, 5, stream.generator())
+            assert run.tolist() == expected
+            steps.add(next(t for t in range(1, 300)
+                           if kmeans_oracle(P, 5, stream.generator(), max_iter=t)[0] == expected))
+            reseeds.append(count)
+        assert len(steps) > 1
+        assert 0 < sum(count > 0 for count in reseeds) < len(reseeds)
+
+    def test_runs_that_exhaust_the_distinct_points_match_the_reference(self):
+        # Five distinct points in eleven columns and k=7: every run's cdf
+        # total reaches 0 before its last two picks, which then come from
+        # gen.integers, and every run re-seeds.  The coordinates are small
+        # integers, so the distances to coinciding centres are exactly 0, as
+        # in the reference.
+        P = np.array([[0.0, 0, 3, 3, 3, 0, 5, 5, 1, 1, 1], [0, 0, 0, 0, 0, 4, 5, 5, 2, 2, 2]])
+        streams = [RngHandle(9).derive("kmeans", r) for r in range(8)]
+        labels = _kmeans_lockstep(P, 7, [s.generator() for s in streams])
+        for run, stream in zip(labels, streams):
+            expected, reseeds = kmeans_oracle(P, 7, stream.generator())
+            assert reseeds > 0
+            assert run.tolist() == expected
 
 
 class TestClusteringAccuracy:
@@ -318,3 +350,43 @@ class TestMeanClusteringAccuracy:
         b = mean_clustering_accuracy(pts, truth, restarts=8, rng=RngHandle(4))
         assert a == b
         assert 0.0 <= a <= 1.0
+
+    def test_blocks_of_runs_give_the_labels_of_single_runs(self, monkeypatch):
+        # 50 restarts at n=600 and k=10 run in three blocks; each restart's
+        # labels are those of its generator run alone.
+        rng = np.random.default_rng(66)
+        ids = rng.integers(0, 10, 600)
+        P = 4.0 * rng.standard_normal((3, 10))[:, ids] + rng.standard_normal((3, 600))
+        blocks, scored = [], []
+        lockstep, score = epca.evaluation._kmeans_lockstep, epca.evaluation.clustering_accuracy
+
+        def recording_lockstep(P, k, gens):
+            blocks.append(len(gens))
+            return lockstep(P, k, gens)
+
+        def recording_score(labels, truth):
+            scored.append(labels.copy())
+            return score(labels, truth)
+
+        monkeypatch.setattr(epca.evaluation, "_kmeans_lockstep", recording_lockstep)
+        monkeypatch.setattr(epca.evaluation, "clustering_accuracy", recording_score)
+        handle = RngHandle(6)
+        mean_clustering_accuracy(P, LabelVector(ids, 10), restarts=50, rng=handle)
+        assert len(blocks) == 3 and sum(blocks) == 50
+        for r, labels in enumerate(scored):
+            alone = lockstep(P, 10, [handle.derive("kmeans", r).generator()])[0]
+            np.testing.assert_array_equal(labels, alone)
+
+    @pytest.mark.parametrize("exponent", [-900, -500, 100, 400, 900])
+    def test_score_does_not_depend_on_the_scale(self, exponent):
+        # Coordinates scaled by 2**exponent give the unit-scale score, with no
+        # overflow or invalid operation on the way.
+        rng = np.random.default_rng(67)
+        ids = rng.integers(0, 4, 80)
+        P = 3.0 * rng.standard_normal((2, 4))[:, ids] + rng.standard_normal((2, 80))
+        truth = LabelVector(ids, 4)
+        unit = mean_clustering_accuracy(P, truth, restarts=6, rng=RngHandle(8))
+        with np.errstate(over="raise", invalid="raise"):
+            scaled = mean_clustering_accuracy(P * 2.0**exponent, truth, restarts=6,
+                                              rng=RngHandle(8))
+        assert scaled == unit > 0.5

@@ -18,6 +18,8 @@ from epca import (
     DimensionError,
     ExperimentConfig,
     IngestionError,
+    LabelVector,
+    RngHandle,
     SigmaLossParams,
     ValidationError,
     epca_fit,
@@ -26,6 +28,7 @@ from epca import (
     fit_pca_om,
     grid_search_sigma,
     ingest_csv,
+    mean_clustering_accuracy,
     reconstruction_error,
     run_experiment,
 )
@@ -222,6 +225,20 @@ class TestExperimentConfig:
                 value = CorruptionSpec(*value)
             _config("x.csv", **{setting: value})
 
+    @pytest.mark.parametrize("setting", ["restarts", "seeds", "ranks", "max_iter"])
+    def test_bool_is_not_read_as_an_integer(self, setting):
+        truth = LabelVector(np.array([0, 1, 1]), 2)
+        builds = {
+            "restarts": lambda: mean_clustering_accuracy(np.ones((2, 3)), truth, restarts=True,
+                                                         rng=RngHandle(0)),
+            "seeds": lambda: _config("x.csv", seeds=[True]),
+            "ranks": lambda: _config("x.csv", ranks=[True]),
+            "max_iter": lambda: _config("x.csv", max_iter=True),
+        }
+        name = {"seeds": "seed", "ranks": "rank c"}.get(setting, setting)
+        with pytest.raises(ValidationError, match=f"{name} must be an integer, got True"):
+            builds[setting]()
+
 
 class TestRunExperiment:
     def test_grid_has_one_cell_per_combination(self, tmp_path):
@@ -292,13 +309,14 @@ class TestRunExperiment:
         # The k-means++ first centre is a uniform draw: record, per k-means
         # run, the index that draw gives.
         picks = []
-        kmeans_once = epca.evaluation._kmeans_once
+        lockstep = epca.evaluation._kmeans_lockstep
 
-        def recording(P, k, gen):
-            picks.append((P.shape[0], int(copy.deepcopy(gen).integers(P.shape[1]))))
-            return kmeans_once(P, k, gen)
+        def recording(P, k, gens):
+            picks.extend((P.shape[0], int(copy.deepcopy(gen).integers(P.shape[1])))
+                         for gen in gens)
+            return lockstep(P, k, gens)
 
-        monkeypatch.setattr(epca.evaluation, "_kmeans_once", recording)
+        monkeypatch.setattr(epca.evaluation, "_kmeans_lockstep", recording)
         cfg = _labelled_config(tmp_path, methods=["classical_pca", "epca", "pca_om"],
                                ranks=[1, 2], sigma_grid=[0.5, 2.0], seeds=[4])
         assert not run_experiment(cfg).any_failures

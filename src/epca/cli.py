@@ -24,7 +24,6 @@ from .evaluation import CorruptionSpec, corrupt, mean_clustering_accuracy, recon
 from .harness import (
     KNOWN_METHODS,
     ExperimentConfig,
-    coarse_winner,
     fit_method,
     grid_search_sigma,
     ingest_csv,
@@ -121,14 +120,6 @@ def _cmd_eval(args):
     return 0
 
 
-# Each run/grid-sigma flag and the config field it sets; the occlusion
-# settings are the fields of CorruptionSpec.
-_FLAG_FIELDS = {
-    "input": "input_path", "labels": "labels_path", "method": "methods", "rank": "ranks",
-    "sigma": "sigma_grid", "seed": "seeds", "corrupt_samples": "sample_fraction",
-    "corrupt_features": "feature_fraction", "shared_features": "shared_features",
-    "restarts": "kmeans_restarts", "tol": "tol", "max_iter": "max_iter",
-}
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 _CORRUPTION_FIELDS = {f.name for f in fields(CorruptionSpec)} - {"seed"}
 
@@ -137,7 +128,8 @@ def _build_config(args, default_sigmas):
     """Layer the config file over the defaults, then the flags given, into an ``ExperimentConfig``.
 
     The file's keys must be ``ExperimentConfig`` fields, and those under
-    ``corruption`` fields of ``CorruptionSpec`` other than its seed.
+    ``corruption`` fields of ``CorruptionSpec`` other than its seed.  Each
+    flag's ``dest`` is the field it sets.
     """
     settings = {"methods": list(KNOWN_METHODS), "sigma_grid": default_sigmas, "seeds": [0]}
     corruption = {"sample_fraction": 0.2, "feature_fraction": 0.2}
@@ -155,8 +147,8 @@ def _build_config(args, default_sigmas):
             raise IngestionError(f"{args.config}: unknown config keys {unknown}")
         settings.update(raw)
         corruption.update(settings.pop("corruption", {}))
-    for dest, name in _FLAG_FIELDS.items():
-        value = getattr(args, dest)
+    for name in _CONFIG_FIELDS | _CORRUPTION_FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
             (corruption if name in _CORRUPTION_FIELDS else settings)[name] = value
     for name, flag in (("input_path", "--input"), ("ranks", "--rank")):
@@ -181,8 +173,7 @@ def _cmd_run(args):
 
 def _cmd_grid_sigma(args):
     cfg = _build_config(args, default_sigmas=DEFAULT_SIGMA_GRID)
-    best_sigma, curve = grid_search_sigma(cfg)
-    _, boundary, _ = coarse_winner(curve)
+    best_sigma, curve, boundary = grid_search_sigma(cfg)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -244,18 +235,19 @@ def build_parser():
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--input", default=None)
-        p.add_argument("--labels", default=None)
-        p.add_argument("--method", action="append", choices=KNOWN_METHODS)
-        p.add_argument("--rank", action="append", type=int)
-        p.add_argument("--sigma", action="append", type=float)
-        p.add_argument("--seed", action="append", type=int)
-        p.add_argument("--corrupt-samples", type=float, default=None)
-        p.add_argument("--corrupt-features", type=float, default=None)
+        # Each dest is the ExperimentConfig or CorruptionSpec field it sets.
+        p.add_argument("--input", dest="input_path")
+        p.add_argument("--labels", dest="labels_path")
+        p.add_argument("--method", dest="methods", action="append", choices=KNOWN_METHODS)
+        p.add_argument("--rank", dest="ranks", action="append", type=int)
+        p.add_argument("--sigma", dest="sigma_grid", action="append", type=float)
+        p.add_argument("--seed", dest="seeds", action="append", type=int)
+        p.add_argument("--corrupt-samples", dest="sample_fraction", type=float)
+        p.add_argument("--corrupt-features", dest="feature_fraction", type=float)
         p.add_argument("--shared-features", action="store_true", default=None)
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
+        p.add_argument("--restarts", dest="kmeans_restarts", type=int)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--max-iter", type=int)
         p.add_argument("--out", default=None)
         if name == "run":
             p.add_argument("--csv", default=None, help="also flatten cells to CSV")

@@ -8,11 +8,11 @@ product from the caller when given: the alternating fit forms that product
 once per fit and updates it by a rank-2 correction when its mean moves.  A
 mapped basis that is not orthonormal to 1e-12 is repaired by one
 Rayleigh-Ritz step; the route falls through to a full ``eigh`` of the d-by-d
-scatter on an overflow, an eigenvalue tie at the c boundary, or a basis the
-repair leaves off orthonormal."""
+scatter on an overflow or an eigenvalue tie at the c boundary."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 import zlib
 from dataclasses import dataclass, field
@@ -123,6 +123,11 @@ def as_integer(value, name: str) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number of any type (numpy's too) but bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_rank(c, limit: int) -> int:
     """Validate a target rank: an integer with ``1 <= c <= limit``."""
     c = as_integer(c, "rank c")
@@ -154,14 +159,15 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
     O(d n^2 + n^3) instead of the O(d^3) full ``eigh``.  That result is kept
     only when ``G`` is finite, the gap between the c-th and (c+1)-th
     eigenvalue is above rounding (an exact tie, or c above the rank of the
-    data, lets the two routes pick different equally valid subspaces), and
-    the mapped basis is orthonormal to 1e-12.  The mapped basis drifts from
-    orthogonality like ``eps * lambda_1 / lambda_c`` while its span stays as
-    accurate as the Gram's eigenvectors, so a drifted basis is first
-    repaired by one Rayleigh-Ritz step on its span (a QR, then an ``eigh``
-    of the c-by-c projected Gram).  Otherwise, and for tall or square data,
-    the scatter is built and decomposed by a full ``eigh``.  The scatter is
-    ``A @ A.T`` for unit weights and ``(A * weights) @ A.T`` otherwise.
+    data, lets the two routes pick different equally valid subspaces).  The
+    mapped basis drifts from orthogonality like ``eps * lambda_1 /
+    lambda_c`` while its span stays as accurate as the Gram's eigenvectors,
+    so a basis that is not orthonormal to 1e-12 is replaced by one
+    Rayleigh-Ritz step on its span (a QR, then an ``eigh`` of the c-by-c
+    projected Gram), which is orthonormal by construction.  Otherwise, and
+    for tall or square data, the scatter is built and decomposed by a full
+    ``eigh``.  The scatter is ``A @ A.T`` for unit weights and
+    ``(A * weights) @ A.T`` otherwise.
 
     ``gram``, if given, must be a writeable float64 array holding
     ``A.T @ A``; it saves the O(d n^2) product: the alternating fit forms
@@ -199,10 +205,9 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
             raise DimensionError(f"gram shape {gram.shape} != ({n}, {n})")
 
     if gram_route(d, n, c):
-        # A non-finite Gram, a tie at the boundary or a basis that stays
-        # off orthonormal falls through to the scatter, whose finiteness
-        # check reports an overflow.  numpy forms A.T @ A by a symmetric
-        # rank-k update.
+        # A non-finite Gram or a tie at the boundary falls through to the
+        # scatter, whose finiteness check reports an overflow.  numpy forms
+        # A.T @ A by a symmetric rank-k update.
         s = np.sqrt(w)
         G = A.T @ A if gram is None else gram
         G *= s
@@ -216,18 +221,13 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
             if evals[c - 1] - evals[c] > d * _EPS * evals[0]:
                 U = (A @ (s[:, None] * V[:, :c])) / np.sqrt(evals[:c])
                 evals = evals[:c]
-                if not _is_orthonormal(U):
+                if not np.max(np.abs(U.T @ U - np.eye(c))) <= 1e-12:
                     evals, U = _rayleigh_ritz(A, s, U)
-                if _is_orthonormal(U):
-                    return _apply_gauge(evals, U)
+                return _apply_gauge(evals, U)
     # numpy forms A @ A.T by a symmetric rank-k update, at half the cost
     # of the general product.
     S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T
     return _dense_top_eigenpairs(S, c)
-
-
-def _is_orthonormal(U):
-    return np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-12
 
 
 def _rayleigh_ritz(A, s, U):
@@ -257,17 +257,9 @@ def _apply_gauge(evals, evecs):
 
     # Within a run of exactly equal eigenvalues, order the (sign-fixed)
     # vectors descending-lexicographically so e.g. the identity yields e1, e2.
-    k = evals.size
-    start = 0
-    while start < k:
-        stop = start + 1
-        while stop < k and evals[stop] == evals[start]:
-            stop += 1
-        if stop - start > 1:
-            block = sorted(
-                (tuple(evecs[:, j]) for j in range(start, stop)), reverse=True
-            )
-            evecs[:, start:stop] = np.array(block).T
-        start = stop
+    # lexsort is stable and takes its last key first: the run, then the
+    # entries from the first.
+    run = np.concatenate([[0], np.cumsum(evals[1:] != evals[:-1])])
+    if run[-1] < evals.size - 1:
+        evecs = evecs[:, np.lexsort(np.vstack([-evecs[::-1], run]))]
     return evals, evecs
-

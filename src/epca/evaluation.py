@@ -9,13 +9,12 @@ clustering accuracy on the low-dimensional coordinates.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import DataMatrix, RngHandle, as_integer
+from .core import DataMatrix, RngHandle, as_integer, is_real
 from .errors import DimensionError, ValidationError
 
 # Size of each work array of one block of k-means runs, in doubles.
@@ -42,7 +41,7 @@ class CorruptionSpec:
     def __post_init__(self):
         for name in ("sample_fraction", "feature_fraction"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+            if not (is_real(value) and 0.0 <= value <= 1.0):
                 raise ValidationError(f"{name} must be a real number in [0, 1], got {value!r}")
         if not (0 <= as_integer(self.seed, "seed") < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
@@ -212,11 +211,14 @@ def _kmeans_lockstep(P, k, gens):
         counts = np.bincount((np.arange(m)[:, None] * k + new_labels).ravel(),
                              minlength=m * k).reshape(m, k)
         for a in np.flatnonzero(counts.min(axis=1) == 0):
-            # Re-seed empty clusters at the point currently worst-served.
+            # Re-seed empty clusters at the point currently worst-served.  The
+            # distances come from direct differences: the rounding of the
+            # expanded form would pick among points that sit on a centre.
             run_labels = new_labels[a]
+            served = np.sum(np.square(P[:, None, :] - centers[:, active[a], :, None]), axis=0)
             for j in range(k):
                 if not np.any(run_labels == j):
-                    worst = np.argmax(dists[a][run_labels, np.arange(n)])
+                    worst = np.argmax(served[run_labels, np.arange(n)])
                     centers[:, active[a], j] = P[:, worst]
                     run_labels[worst] = j
             counts[a] = np.bincount(run_labels, minlength=k)

@@ -10,7 +10,6 @@ import itertools
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import fit_classical_pca, fit_pca_om
-from .core import DataMatrix, RngHandle, as_integer
+from .core import DataMatrix, RngHandle, as_integer, is_real
 from .errors import DimensionError, IngestionError, InternalInvariantError, ValidationError
 from .evaluation import CorruptionSpec, LabelVector, corrupt, mean_clustering_accuracy, reconstruction_error
 from .sigmaloss import SigmaLossParams
@@ -69,7 +68,7 @@ class ExperimentConfig:
             raise ValidationError("sigma_grid must be non-empty")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
-        bad_sigmas = [s for s in self.sigma_grid if not isinstance(s, numbers.Real)]
+        bad_sigmas = [s for s in self.sigma_grid if not is_real(s)]
         if bad_sigmas:
             raise ValidationError(f"sigma_grid entries must be real numbers, got {bad_sigmas}")
         self.sigma_grid = [float(s) for s in self.sigma_grid]
@@ -79,7 +78,7 @@ class ExperimentConfig:
             if value < 1:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
             setattr(self, name, value)
-        if not (isinstance(self.tol, numbers.Real) and 0 <= self.tol < math.inf):
+        if not (is_real(self.tol) and 0 <= self.tol < math.inf):
             raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
 
     def echo(self) -> dict:
@@ -305,13 +304,13 @@ def grid_search_sigma(cfg: ExperimentConfig):
     mean reconstruction error across seeds at rank ``cfg.ranks[0]``.  Fine
     stage: 8 log-spaced points strictly between the coarse winner's
     neighbors among the grid points that fitted.  Ties resolve to the
-    smallest sigma, and a winner at either end of those points is logged as
-    a warning (the range was likely too narrow); :func:`coarse_winner`
-    makes this decision.  Each seed is scored by the grid's fit-and-score
-    step, and the first failed seed fails the grid point.  Returns ``(best_sigma,
-    curve)`` where the curve rows carry sigma, log2(sigma), the error, the
-    stage, and that seed's error message (such rows are excluded from the
-    argmin).
+    smallest sigma, and a coarse winner at either end of those points is
+    logged as a warning (the range was likely too narrow).  Each seed is
+    scored by the grid's fit-and-score step, and the first failed seed fails
+    the grid point.  Returns ``(best_sigma, curve, on_boundary)`` where the
+    curve rows carry sigma, log2(sigma), the error, the stage, and that
+    seed's error message (such rows are excluded from the argmin), and
+    ``on_boundary`` is whether the coarse winner sat at an end.
     """
     rank = cfg.ranks[0]
     X, _, occluded = _occluded_inputs(cfg, [rank])
@@ -330,35 +329,26 @@ def grid_search_sigma(cfg: ExperimentConfig):
         row["error"] = float(np.mean(errors))
         return row
 
+    def winner(rows):
+        scored = [row for row in rows if row["failure"] is None]
+        if not scored:
+            raise InternalInvariantError("every coarse grid point failed")
+        return min(scored, key=lambda row: (row["error"], row["sigma"]))
+
     curve = [evaluate(sigma, "coarse") for sigma in sorted(set(cfg.sigma_grid))]
-    best, on_boundary, (lo, hi) = coarse_winner(curve)
+    best = winner(curve)
+    # The coarse rows are sorted by sigma; the fine stage searches strictly
+    # between the winner's scored neighbours.
+    sigmas = [row["sigma"] for row in curve if row["failure"] is None]
+    pos, last = sigmas.index(best["sigma"]), len(sigmas) - 1
+    on_boundary = pos in (0, last)
     if on_boundary:
         logger.warning(
             "best sigma %g sits on the grid boundary; widen the search range",
             best["sigma"],
         )
+    lo, hi = sigmas[max(pos - 1, 0)], sigmas[min(pos + 1, last)]
     if lo < hi:
         for sigma in np.geomspace(lo, hi, 10)[1:-1]:
             curve.append(evaluate(float(sigma), "fine"))
-    scored = [row for row in curve if row["failure"] is None]
-    best = min(scored, key=lambda row: (row["error"], row["sigma"]))
-    return best["sigma"], curve
-
-
-def coarse_winner(curve):
-    """The coarse-stage decision of :func:`grid_search_sigma`.
-
-    Only coarse rows without a failure count.  Returns ``(row, on_boundary,
-    (lo, hi))``: the winning row (smallest error, ties to the smallest
-    sigma), whether it is the smallest or largest scored sigma, and the
-    scored sigmas on either side of it, or its own sigma where it has no
-    neighbour on that side.  The fine stage searches strictly between
-    ``lo`` and ``hi``.
-    """
-    scored = [row for row in curve if row["stage"] == "coarse" and row["failure"] is None]
-    if not scored:
-        raise InternalInvariantError("every coarse grid point failed")
-    best = min(scored, key=lambda row: (row["error"], row["sigma"]))
-    sigmas = sorted(row["sigma"] for row in scored)
-    pos, last = sigmas.index(best["sigma"]), len(sigmas) - 1
-    return best, pos in (0, last), (sigmas[max(pos - 1, 0)], sigmas[min(pos + 1, last)])
+    return winner(curve)["sigma"], curve, on_boundary

@@ -22,11 +22,11 @@ surrogate) descends monotonically.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_real
 from .errors import InternalInvariantError, ValidationError
 
 _EPS = np.finfo(float).eps
@@ -45,7 +45,7 @@ class SigmaLossParams:
     sigma: float
 
     def __post_init__(self):
-        if not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < np.inf):
+        if not (is_real(self.sigma) and 0 < self.sigma < np.inf):
             raise ValidationError(f"sigma must be a positive finite real, got {self.sigma!r}")
         object.__setattr__(self, "sigma", float(self.sigma))
 

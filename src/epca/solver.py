@@ -20,12 +20,11 @@ trace is non-increasing.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, as_integer, check_rank, gram_route, top_eigenpairs
+from .core import DataMatrix, as_integer, check_rank, gram_route, is_real, top_eigenpairs
 from .corobust import WeightVector, solve_weights
 from .errors import DimensionError, ValidationError
 from .sigmaloss import SigmaLossParams, coefficient_kernel, descent_converged, loss_kernel
@@ -78,14 +77,11 @@ class EpcaFitState:
     ``active_count_trace`` records the weight activation count k per
     iteration.  ``objective_trace`` (the objective at the initialization,
     then one entry per outer iteration) and ``iterations`` are read from the
-    model.  ``eta`` is ``irls_coeffs / alpha.complements``: the division uses
-    the exact complement form of 1 - alpha_i, since near-converged fits can
-    drive weights so close to 1 that the rounded subtraction would be noise.
+    model.
     """
 
     model: SubspaceModel
     alpha: WeightVector
-    irls_coeffs: np.ndarray
     active_count_trace: np.ndarray
 
     @property
@@ -95,10 +91,6 @@ class EpcaFitState:
     @property
     def iterations(self) -> int:
         return len(self.objective_trace) - 1
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self.irls_coeffs / self.alpha.complements
 
 
 def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
@@ -111,7 +103,7 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     """
     if as_integer(max_iter, "max_iter") < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+    if not (is_real(tol) and 0 <= tol < np.inf):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     d, n = X.shape
     comp = np.full(n, (n - 1.0) / n) if learn_alpha else np.ones(n)
@@ -123,14 +115,13 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     Xc = X - m[:, None]
     T = np.empty_like(X)
     # On the wide route the centred Gram comes from K = Xc.T @ Xc at the
-    # initial mean m0: at a mean m0 + delta it is K - a 1' - 1 a' +
-    # (delta'delta) 1 1' with a = Xc.T @ delta, computed from X so that no
-    # second d-by-n array stays alive.  delta is a convex combination of the
-    # centred columns (eta > 0), so |a_i| and delta'delta stay below the
-    # largest squared column norm and the update rounds like a fresh Gram.
-    # top_eigenpairs overwrites G, so each call gets a freshly written one.
+    # initial mean.  Every later mean lies at Xc @ eta / sum(eta) from it,
+    # so its Gram is K - a 1' - 1 a' + (a'eta / sum(eta)) 1 1' with
+    # a = K @ eta / sum(eta).  As eta > 0, these are convex combinations of
+    # entries of K and round like a fresh Gram.  top_eigenpairs overwrites
+    # G, so each call gets a freshly written one.
     K = Xc.T @ Xc if gram_route(d, n, c) else None
-    m0, G = m, None if K is None else K.copy()
+    G = None if K is None else K.copy()
     _, W = top_eigenpairs(Xc, c, np.ones(n), gram=G)
     V = W.T @ Xc
     rn = _residual_norms(Xc, W, V, T)
@@ -145,15 +136,15 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
 
     for _ in range(max_iter):
         eta = coefficient_kernel(rn, sigma) / comp
+        total = eta.sum()
         np.multiply(X, eta, out=T)
-        m = T.sum(axis=1) / eta.sum()
+        m = T.sum(axis=1) / total
         np.subtract(X, m[:, None], out=Xc)
         if K is not None:
-            delta = m - m0
-            a = X.T @ delta - m0 @ delta
+            a = K @ eta / total
             np.subtract(K, a, out=G)
             G -= a[:, None]
-            G += delta @ delta
+            G += a @ eta / total
         _, W = top_eigenpairs(Xc, c, eta, gram=G)
         V = W.T @ Xc
         rn = _residual_norms(Xc, W, V, T)
@@ -168,12 +159,9 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         if descent_converged(trace, tol, scale):
             break
 
-    # Refresh the coefficients so the reported d/eta are consistent with the
-    # final weights (during the loop eta always pairs with the previous alpha).
     return EpcaFitState(
         model=SubspaceModel(W, m, V, np.array(trace)),
         alpha=alpha_wv,
-        irls_coeffs=coefficient_kernel(rn, sigma),
         active_count_trace=np.array(ks, dtype=int),
     )
 

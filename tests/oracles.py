@@ -135,3 +135,29 @@ def kmeans_oracle(P, k, gen, max_iter=300):
             if members:
                 centres[j] = [sum(coords) / len(members) for coords in zip(*members)]
     return labels, reseeds
+
+
+def gauge_oracle(evals, evecs):
+    """The eigenvector gauge of ``top_eigenpairs``, one run of ties at a time.
+
+    Each column is flipped so its largest-|entry| (the first such) is
+    positive; then within each run of exactly equal eigenvalues (sorted
+    descending) the columns are sorted descending by Python's tuple order.
+    """
+    pivot = np.argmax(np.abs(evecs), axis=0)
+    signs = np.where(evecs[pivot, np.arange(evecs.shape[1])] < 0, -1.0, 1.0)
+    evecs = evecs * signs
+
+    k = evals.size
+    start = 0
+    while start < k:
+        stop = start + 1
+        while stop < k and evals[stop] == evals[start]:
+            stop += 1
+        if stop - start > 1:
+            block = sorted(
+                (tuple(evecs[:, j]) for j in range(start, stop)), reverse=True
+            )
+            evecs[:, start:stop] = np.array(block).T
+        start = stop
+    return evals, evecs

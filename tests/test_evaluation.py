@@ -268,6 +268,17 @@ class TestKmeans:
             assert reseeds > 0
             assert run.tolist() == expected
 
+    def test_reseed_among_points_on_centres_matches_the_reference(self):
+        # Nine distinct standard-normal points in fifteen columns and k=10:
+        # every point ends on a centre, so all true distances to the
+        # assigned centres are 0 and the re-seed takes the first point.  The
+        # expanded distances are rounding noise here, not 0.
+        P = np.random.default_rng(0).standard_normal((2, 9))[:, np.arange(15) % 9]
+        streams = [RngHandle(0).derive("kmeans", r) for r in range(16)]
+        labels = _kmeans_lockstep(P, 10, [s.generator() for s in streams])
+        for run, stream in zip(labels, streams):
+            assert run.tolist() == kmeans_oracle(P, 10, stream.generator())[0]
+
 
 class TestClusteringAccuracy:
     def test_exact_match_scores_one(self):

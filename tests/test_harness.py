@@ -1,6 +1,7 @@
 """Tests for the experiment harness: CSV ingestion, the comparison grid,
 sigma search, report determinism, and the command-line entry points."""
 
+import argparse
 import copy
 import csv
 import dataclasses
@@ -239,6 +240,19 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=f"{name} must be an integer, got True"):
             builds[setting]()
 
+    @pytest.mark.parametrize("name, build", [
+        ("sigma", lambda: SigmaLossParams(True)),
+        ("sample_fraction", lambda: CorruptionSpec(True, 0.2, seed=0)),
+        ("feature_fraction", lambda: CorruptionSpec(0.2, False, seed=0)),
+        ("sigma_grid", lambda: _config("x.csv", sigma_grid=[True])),
+        ("tol", lambda: _config("x.csv", tol=True)),
+        ("tol", lambda: epca_fit(np.eye(3), 1, SigmaLossParams(1.0), tol=True)),
+    ], ids=["sigma", "sample_fraction", "feature_fraction", "sigma_grid", "config-tol",
+            "fit-tol"])
+    def test_bool_is_not_read_as_a_real_number(self, name, build):
+        with pytest.raises(ValidationError, match=rf"{name}\b.*, got \[?(True|False)"):
+            build()
+
 
 class TestRunExperiment:
     def test_grid_has_one_cell_per_combination(self, tmp_path):
@@ -350,7 +364,7 @@ class TestGridSearchSigma:
     def test_curve_covers_the_grid_and_both_stages(self, tmp_path):
         cfg = _config(_data_csv(tmp_path), methods=["epca"],
                       sigma_grid=[0.25, 1.0, 4.0])
-        best, curve = grid_search_sigma(cfg)
+        best, curve, _ = grid_search_sigma(cfg)
         coarse = [row for row in curve if row["stage"] == "coarse"]
         fine = [row for row in curve if row["stage"] == "fine"]
         assert sorted(row["sigma"] for row in coarse) == [0.25, 1.0, 4.0]
@@ -365,23 +379,24 @@ class TestGridSearchSigma:
     def test_search_is_reproducible(self, tmp_path):
         cfg = _config(_data_csv(tmp_path), methods=["epca"],
                       sigma_grid=[0.25, 1.0, 4.0], seeds=[0, 1])
-        best_a, curve_a = grid_search_sigma(cfg)
-        best_b, curve_b = grid_search_sigma(cfg)
+        best_a, curve_a, _ = grid_search_sigma(cfg)
+        best_b, curve_b, _ = grid_search_sigma(cfg)
         assert best_a == best_b
         assert curve_a == curve_b
 
     def test_single_point_grid_warns_about_the_boundary(self, tmp_path, caplog):
         cfg = _config(_data_csv(tmp_path), methods=["epca"], sigma_grid=[1.0])
         with caplog.at_level(logging.WARNING, logger="epca.harness"):
-            best, curve = grid_search_sigma(cfg)
+            best, curve, on_boundary = grid_search_sigma(cfg)
         assert best == 1.0
         assert len(curve) == 1
+        assert on_boundary
         assert "boundary" in caplog.text
 
     def test_failed_grid_points_are_reported_not_fatal(self, tmp_path):
         cfg = _config(_data_csv(tmp_path), methods=["epca"],
                       sigma_grid=[-1.0, 0.5, 8.0])
-        best, curve = grid_search_sigma(cfg)
+        best, curve, _ = grid_search_sigma(cfg)
         failed = [row for row in curve if row["failure"] is not None]
         assert len(failed) == 1
         assert failed[0]["sigma"] == -1.0
@@ -653,6 +668,18 @@ class TestCli:
         assert summary["boundary_warning"] is True
         assert "boundary" in caplog.text
         assert summary["curve_points"] == 3 + 8  # the fine stage ran
+
+
+def test_every_run_flag_sets_a_config_field():
+    # _build_config reads each flag by the field name in its dest.
+    settable = ({f.name for f in dataclasses.fields(ExperimentConfig)}
+                | {f.name for f in dataclasses.fields(CorruptionSpec)})
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for command in ("run", "grid-sigma"):
+        dests = {action.dest for action in commands[command]._actions} - {
+            "help", "config", "out", "csv"}
+        assert dests and dests <= settable, (command, sorted(dests - settable))
 
 
 def test_every_exported_name_resolves():

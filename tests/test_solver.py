@@ -33,7 +33,7 @@ from epca import (
 )
 import epca.core
 import epca.solver
-from epca.sigmaloss import coefficient_kernel, loss_kernel
+from epca.sigmaloss import loss_kernel
 
 from oracles import largest_principal_angle
 
@@ -102,7 +102,6 @@ class TestFit:
         np.testing.assert_array_equal(a.model.translation, b.model.translation)
         np.testing.assert_array_equal(a.model.coordinates, b.model.coordinates)
         np.testing.assert_array_equal(a.alpha.weights, b.alpha.weights)
-        np.testing.assert_array_equal(a.eta, b.eta)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
         assert a.iterations == b.iterations
 
@@ -122,14 +121,6 @@ class TestFit:
         assert np.all(a >= 0) and np.all(a < 1)
         assert state.alpha.active_count >= 2
         assert np.all(state.active_count_trace >= 2)
-
-    def test_eta_is_exactly_coeffs_over_complements(self):
-        rng = np.random.default_rng(9)
-        X = _noisy_low_rank(rng)
-        state = epca_fit(X, 3, SigmaLossParams(0.1))
-        np.testing.assert_array_equal(
-            state.eta, state.irls_coeffs / state.alpha.complements
-        )
 
     def test_projector_is_idempotent(self):
         rng = np.random.default_rng(10)
@@ -436,9 +427,9 @@ class TestTransformReconstruct:
         Y = reconstruct(model, V)
         np.testing.assert_allclose(transform(model, Y), V, atol=1e-10)
 
-    def test_residual_norms_feed_the_coefficients(self):
+    def test_residual_norms_give_the_final_objective(self):
         """Column norms of X - reconstruct(fit) are the residual norms behind
-        the stored IRLS coefficients."""
+        the last objective entry."""
         rng = np.random.default_rng(23)
         X = _noisy_low_rank(rng)
         p = SigmaLossParams(0.7)
@@ -446,7 +437,8 @@ class TestTransformReconstruct:
         resid = X.values - reconstruct(state.model, state.model.coordinates)
         rn = np.linalg.norm(resid, axis=0)
         np.testing.assert_allclose(
-            coefficient_kernel(rn, p.sigma), state.irls_coeffs, rtol=1e-10, atol=1e-13
+            np.sum(loss_kernel(rn, p.sigma) / state.alpha.complements),
+            state.objective_trace[-1], rtol=1e-10,
         )
 
     def test_transform_rejects_row_mismatch(self, model):

@@ -2,13 +2,16 @@
 weighted-scatter eigendecomposition used by every subspace method in the package.
 
 On wide data (c < n < d) the eigendecomposition reads the top c+1 eigenpairs
-of the n-by-n Gram of the weighted data, at O(n^3) plus O(d n c) for the
-mapping to d-dimensional eigenvectors, and it takes the Gram's O(d n^2)
-product from the caller when given: the alternating fit forms that product
-once per fit and updates it by a rank-2 correction when its mean moves.  A
-mapped basis that is not orthonormal to 1e-12 is repaired by one
-Rayleigh-Ritz step; the route falls through to a full ``eigh`` of the d-by-d
-scatter on an overflow or an eigenvalue tie at the c boundary."""
+of the n-by-n Gram of the weighted data, plus O(d n c) for the mapping to
+d-dimensional eigenvectors, and it takes the Gram's O(d n^2) product from the
+caller when given: the alternating fit forms that product once per fit and
+updates it by a rank-2 correction when its mean moves.  Given a start block
+(the alternating fit passes its previous basis), the eigenpairs come from
+block subspace iteration at O(n^2 c) per step; without one, or when the
+iteration does not converge within its step budget, from a subset ``eigh``
+at O(n^3).  A mapped basis that is not orthonormal to 1e-12 is repaired by
+one Rayleigh-Ritz step; the route falls through to a full ``eigh`` of the
+d-by-d scatter on an overflow or an eigenvalue tie at the c boundary."""
 
 from __future__ import annotations
 
@@ -23,6 +26,13 @@ import scipy.linalg
 from .errors import DimensionError, ValidationError
 
 _EPS = np.finfo(float).eps
+# The warm-started Gram iteration: its step budget, the steps before its
+# rate of convergence is trusted, then its stopping tolerances relative to
+# lambda_1 and to the gap at the c boundary.
+_MAX_STEPS = 30
+_SETTLE_STEPS = 4
+_RES_TOL = 1e-14
+_GAP_TOL = 1e-13
 
 
 @dataclass
@@ -124,8 +134,15 @@ def as_integer(value, name: str) -> int:
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is a real number of any type (numpy's too) but bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number of any type (numpy's too) but bool
+    that converts to a float (a Python int may lie beyond the float range)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_rank(c, limit: int) -> int:
@@ -142,8 +159,8 @@ def gram_route(d: int, n: int, c: int) -> bool:
     return c < n < d
 
 
-def top_eigenpairs(A: np.ndarray, c: int, weights, *,
-                   gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def top_eigenpairs(A: np.ndarray, c: int, weights, *, gram: np.ndarray | None = None,
+                   start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Leading eigenpairs of a weighted scatter, under a fixed gauge.
 
     ``A`` is a d-by-n matrix (the solvers pass centred data) and ``weights``
@@ -159,15 +176,28 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
     O(d n^2 + n^3) instead of the O(d^3) full ``eigh``.  That result is kept
     only when ``G`` is finite, the gap between the c-th and (c+1)-th
     eigenvalue is above rounding (an exact tie, or c above the rank of the
-    data, lets the two routes pick different equally valid subspaces).  The
-    mapped basis drifts from orthogonality like ``eps * lambda_1 /
-    lambda_c`` while its span stays as accurate as the Gram's eigenvectors,
-    so a basis that is not orthonormal to 1e-12 is replaced by one
-    Rayleigh-Ritz step on its span (a QR, then an ``eigh`` of the c-by-c
-    projected Gram), which is orthonormal by construction.  Otherwise, and
-    for tall or square data, the scatter is built and decomposed by a full
-    ``eigh``.  The scatter is ``A @ A.T`` for unit weights and
-    ``(A * weights) @ A.T`` otherwise.
+    data, lets the two routes pick different equally valid subspaces).
+
+    ``start``, optional, is the c-by-n block ``W.T @ A`` of the data's
+    coordinates in an approximate basis ``W`` of the top eigenvectors, such
+    as the previous basis of an alternating fit.  Given it, the Gram route
+    finds the eigenpairs of ``G`` by block subspace iteration from
+    ``start * s`` (see ``_subspace_iteration``), at O(n^2 c) per step against
+    the subset ``eigh``'s O(n^3).  When ``start`` is None, or the iteration
+    does not converge within its budget of 30 steps (about the time of one
+    subset ``eigh`` at n = 300; it gives up sooner when its rate of
+    convergence shows it would not), the subset ``eigh`` runs as above.  The
+    scatter route ignores ``start``.
+
+    On either path the mapped basis drifts from orthogonality like
+    ``eps * lambda_1 / lambda_c`` while its span stays as accurate as the
+    Gram's eigenvectors, so a basis that is not orthonormal to 1e-12 is
+    replaced by one Rayleigh-Ritz step on its span (a QR, then an ``eigh`` of
+    the c-by-c projected Gram), which is orthonormal by construction.
+    Without a finite Gram and a gap at the boundary, and for tall or square
+    data, the scatter is built and decomposed by a full ``eigh``.  The
+    scatter is ``A @ A.T`` for unit weights and ``(A * weights) @ A.T``
+    otherwise.
 
     ``gram``, if given, must be a writeable float64 array holding
     ``A.T @ A``; it saves the O(d n^2) product: the alternating fit forms
@@ -203,6 +233,14 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
             raise ValidationError(f"gram must be a writeable float64 array, got {kind}")
         if gram.shape != (n, n):
             raise DimensionError(f"gram shape {gram.shape} != ({n}, {n})")
+    if start is not None:
+        kind = f"{start.dtype} array" if isinstance(start, np.ndarray) else type(start).__name__
+        if not (isinstance(start, np.ndarray) and start.dtype.kind in "iuf"):
+            raise ValidationError(f"start must be a real array, got {kind}")
+        if start.shape != (c, n):
+            raise DimensionError(f"start shape {start.shape} != ({c}, {n})")
+        if not np.all(np.isfinite(start)):
+            raise ValidationError("start entries must be finite (no NaN/Inf)")
 
     if gram_route(d, n, c):
         # A non-finite Gram or a tie at the boundary falls through to the
@@ -213,11 +251,14 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
         G *= s
         G *= s[:, None]
         if np.all(np.isfinite(G)):
-            # G.T is the Fortran-ordered view that LAPACK overwrites without
-            # a copy; it equals G up to the last bit of the scaling.
-            evals, V = scipy.linalg.eigh(G.T, subset_by_index=[n - c - 1, n - 1],
-                                         overwrite_a=True, check_finite=False)
-            evals, V = evals[::-1], V[:, ::-1]
+            pairs = None if start is None else _subspace_iteration(G, s * start, c)
+            if pairs is None:
+                # G.T is the Fortran-ordered view that LAPACK overwrites
+                # without a copy; it equals G up to the last bit of the scaling.
+                evals, V = scipy.linalg.eigh(G.T, subset_by_index=[n - c - 1, n - 1],
+                                             overwrite_a=True, check_finite=False)
+                pairs = evals[::-1], V[:, ::-1]
+            evals, V = pairs
             if evals[c - 1] - evals[c] > d * _EPS * evals[0]:
                 U = (A @ (s[:, None] * V[:, :c])) / np.sqrt(evals[:c])
                 evals = evals[:c]
@@ -228,6 +269,47 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *,
     # of the general product.
     S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T
     return _dense_top_eigenpairs(S, c)
+
+
+def _subspace_iteration(G, B, c):
+    """Top c+1 eigenpairs of the n-by-n Gram ``G``, descending, by block
+    subspace iteration from the rows of the c-by-n block ``B``; None when it
+    does not converge within ``_MAX_STEPS`` steps.
+
+    The block gets one fixed extra row, a data-independent vector, for the
+    (c+1)-th pair.  Each step multiplies the orthonormalised block by ``G``
+    and takes the Rayleigh-Ritz pairs of its span, at O(n^2 c).  It stops
+    when every residual ``|G q - theta q|`` of the top c is at the rounding
+    level of ``theta_1`` and far below the gap between ``theta_c`` and
+    ``theta_{c+1} + res_{c+1}``, the upper estimate of ``lambda_{c+1}`` that
+    is returned in place of ``theta_{c+1}``.
+    """
+    n = G.shape[0]
+    Q = np.linalg.qr(np.vstack([B, np.cos(np.arange(n) + 0.5)]).T)[0]
+    r_prev = np.inf
+    for step in range(_MAX_STEPS):
+        Y = G @ Q
+        theta, Z = np.linalg.eigh(Q.T @ Y)
+        theta, Z = theta[::-1], Z[:, ::-1]
+        V = Q @ Z
+        res = np.linalg.norm(Y @ Z - V * theta, axis=0)
+        upper = theta[c] + res[c]
+        r = np.max(res[:c])
+        if r <= min(_RES_TOL * theta[0], _GAP_TOL * (theta[c - 1] - upper)):
+            theta[c] = upper
+            return theta, V
+        # A narrow gap at c (a near tie, or c beyond the data's signal rank)
+        # converges too slowly for the budget, and residuals at their
+        # rounding floor stop falling: give up as soon as a step makes no
+        # progress or, once the start block's transient has settled, when
+        # the last step's rate would not reach rounding level in the steps
+        # left.
+        if r >= r_prev or (step >= _SETTLE_STEPS and r * (r / r_prev) ** (
+                _MAX_STEPS - 1 - step) > _RES_TOL * theta[0]):
+            return None
+        r_prev = r
+        Q = np.linalg.qr(Y)[0]
+    return None
 
 
 def _rayleigh_ritz(A, s, U):

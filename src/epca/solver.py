@@ -75,14 +75,17 @@ class EpcaFitState:
     """Everything the alternating fit produced.
 
     ``active_count_trace`` records the weight activation count k per
-    iteration.  ``objective_trace`` (the objective at the initialization,
-    then one entry per outer iteration) and ``iterations`` are read from the
-    model.
+    iteration, and ``stop_reason`` why the loop ended: ``"tol"`` when the
+    relative decrease of the objective fell to the tolerance, ``"max_iter"``
+    when the iteration budget ran out first.  ``objective_trace`` (the
+    objective at the initialization, then one entry per outer iteration) and
+    ``iterations`` are read from the model.
     """
 
     model: SubspaceModel
     alpha: WeightVector
     active_count_trace: np.ndarray
+    stop_reason: str
 
     @property
     def objective_trace(self) -> np.ndarray:
@@ -133,19 +136,23 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     data_norms = np.hypot(rn, np.linalg.norm(V, axis=0)) + np.linalg.norm(m)
     scale = float(np.sum(loss_kernel(data_norms, sigma) / comp))
     ks = []
+    start = None
 
     for _ in range(max_iter):
         eta = coefficient_kernel(rn, sigma) / comp
         total = eta.sum()
         np.multiply(X, eta, out=T)
-        m = T.sum(axis=1) / total
+        m_prev, m = m, T.sum(axis=1) / total
         np.subtract(X, m[:, None], out=Xc)
         if K is not None:
             a = K @ eta / total
             np.subtract(K, a, out=G)
             G -= a[:, None]
             G += a @ eta / total
-        _, W = top_eigenpairs(Xc, c, eta, gram=G)
+            # The previous basis, in the coordinates of the new centring,
+            # starts the Gram route's subspace iteration.
+            start = V - (W.T @ (m - m_prev))[:, None]
+        _, W = top_eigenpairs(Xc, c, eta, gram=G, start=start)
         V = W.T @ Xc
         rn = _residual_norms(Xc, W, V, T)
         losses = loss_kernel(rn, sigma)
@@ -157,12 +164,16 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
 
         trace.append(float(np.sum(losses / comp)))
         if descent_converged(trace, tol, scale):
+            stop_reason = "tol"
             break
+    else:
+        stop_reason = "max_iter"
 
     return EpcaFitState(
         model=SubspaceModel(W, m, V, np.array(trace)),
         alpha=alpha_wv,
         active_count_trace=np.array(ks, dtype=int),
+        stop_reason=stop_reason,
     )
 
 

@@ -315,6 +315,48 @@ class TestTopEigenpairsWeighted:
         with pytest.raises(ValidationError):
             top_eigenpairs(A, 1, [1.0, np.nan, 1.0])
 
+    @pytest.mark.parametrize("spectrum, c, steps", [
+        ([10.0, 9.0, 8.0, 7.99, 7.98], 3, 6),
+        ([10.0, 9.0, 8.0, 7.99], 3, 10),
+        ([2.0] * 6, 2, 30),
+    ], ids=["slow", "rounding-floor", "tie"])
+    def test_start_that_does_not_converge_gives_the_cold_result(self, spectrum, c, steps,
+                                                                monkeypatch):
+        # slow: lambda_5 / lambda_3 = 0.995, far too slow for the step
+        # budget, which the rate shows once the start has settled.
+        # rounding-floor: the block of c+1 converges fast, but the gap at c
+        # (1.6e-3 of lambda_1) puts the tolerance below the residuals'
+        # rounding floor, where they stop falling.  tie: lambda_3 = lambda_2,
+        # so the gap estimate is never positive.  Each gives up within
+        # ``steps`` QRs and falls back to the subset eigh (the tie then to
+        # the dense eigensolve).
+        rng = np.random.default_rng(13)
+        U = np.linalg.qr(rng.standard_normal((40, 20)))[0]
+        V = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+        A = (U * np.concatenate([spectrum, np.full(20 - len(spectrum), 0.5)])) @ V.T
+        start = rng.standard_normal((c, 20))
+        cold = top_eigenpairs(A, c, np.ones(20))
+        iteration, results, products = epca.core._subspace_iteration, [], []
+        monkeypatch.setattr(epca.core, "_subspace_iteration",
+                            lambda *args: results.append(iteration(*args)) or results[-1])
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: products.append(1) or qr(*args))
+        warm = top_eigenpairs(A, c, np.ones(20), start=start)
+        for got, ref in zip(warm, cold):
+            np.testing.assert_array_equal(got, ref)
+        assert results[0] is None and len(products) <= steps
+
+    @pytest.mark.parametrize("start, error", [
+        ([[0.0] * 3], ValidationError),
+        (np.zeros((1, 3), dtype=complex), ValidationError),
+        (np.zeros((3, 1)), DimensionError),
+        (np.array([[0.0, np.nan, 1.0]]), ValidationError),
+        (np.array([[0.0, np.inf, 1.0]]), ValidationError),
+    ], ids=["list", "complex", "transposed", "nan", "inf"])
+    def test_rejects_a_bad_start_block(self, start, error):
+        with pytest.raises(error, match="start"):
+            top_eigenpairs(np.ones((6, 3)), 1, np.ones(3), start=start)
+
     @pytest.mark.parametrize("gram, error", [
         ([[0.0] * 3] * 3, ValidationError),
         (np.zeros((3, 3), dtype=np.int64), ValidationError),

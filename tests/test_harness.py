@@ -206,18 +206,21 @@ class TestExperimentConfig:
         ("tol", float("nan"), "tol must be finite and >= 0"),
         ("tol", float("inf"), "tol must be finite and >= 0"),
         ("tol", "1e-8", "tol must be finite and >= 0"),
+        ("tol", 10**400, "tol must be finite and >= 0"),
         ("seeds", [0, 2.5], "seed must be an integer, got 2.5"),
         ("methods", "epca", "methods must be a list, got 'epca'"),
         ("ranks", 3, "ranks must be a list, got 3"),
         ("sigma_grid", "1.0", "sigma_grid must be a list, got '1.0'"),
         ("sigma_grid", [1.0, "2"], r"sigma_grid entries must be real numbers, got \['2'\]"),
+        ("sigma_grid", [1.0, 10**400], r"sigma_grid entries must be real numbers, got \[1000"),
         ("seeds", 5, "seeds must be a list, got 5"),
         ("corruption", ("a", 0.2, 0), "sample_fraction must be a real number in \\[0, 1\\], got 'a'"),
         ("corruption", (0.2, None, 0), "feature_fraction must be a real number"),
         ("corruption", (0.2, 0.2, "x"), "seed must be an integer, got 'x'"),
     ], ids=["restarts-zero", "restarts-fractional", "max_iter-zero", "max_iter-fractional",
-            "tol-negative", "tol-nan", "tol-inf", "tol-string", "seed-fractional",
-            "methods-string", "ranks-int", "sigma_grid-string", "sigma_grid-entry",
+            "tol-negative", "tol-nan", "tol-inf", "tol-string", "tol-huge-int",
+            "seed-fractional", "methods-string", "ranks-int", "sigma_grid-string",
+            "sigma_grid-entry", "sigma_grid-huge-int",
             "seeds-int", "sample_fraction-string", "feature_fraction-none",
             "corruption_seed-string"])
     def test_run_settings_are_checked_when_built(self, setting, value, message):
@@ -576,8 +579,11 @@ class TestCli:
         ('{"seeds": 5}', "ValidationError: seeds must be a list, got 5"),
         ('{"corruption": {"sample_fraction": "a"}}',
          "ValidationError: sample_fraction must be a real number in [0, 1], got 'a'"),
+        ('{"sigma_grid": [1%s]}' % ("0" * 400),
+         "ValidationError: sigma_grid entries must be real numbers, got [1000"),
     ], ids=["not-json", "list", "corruption-list", "unknown-key", "unknown-corruption-key",
-            "corruption-seed", "corruption-value_law", "seeds-int", "sample_fraction-string"])
+            "corruption-seed", "corruption-value_law", "seeds-int", "sample_fraction-string",
+            "sigma_grid-huge-int"])
     def test_run_rejects_a_malformed_config_file(self, tmp_path, capsys, content, named):
         config_path = tmp_path / "config.json"
         config_path.write_text(content)

@@ -34,6 +34,10 @@ class TestSigmaLossParams:
             with pytest.raises(ValidationError):
                 SigmaLossParams(bad)
 
+    def test_rejects_an_integer_beyond_the_float_range(self):
+        with pytest.raises(ValidationError, match="sigma must be a positive finite real"):
+            SigmaLossParams(10**400)
+
     def test_accepts_extreme_positive_sigma(self):
         assert SigmaLossParams(1e-8).sigma == 1e-8
         assert SigmaLossParams(1e8).sigma == 1e8

@@ -105,6 +105,22 @@ class TestFit:
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
         assert a.iterations == b.iterations
 
+    def test_warm_started_wide_fits_are_bitwise_identical(self):
+        X = _noisy_low_rank(np.random.default_rng(1), d=120, n=40)
+        a = epca_fit(X, 3, SigmaLossParams(0.5))
+        b = epca_fit(X, 3, SigmaLossParams(0.5))
+        assert a.iterations == b.iterations > 1
+        for name in ("basis", "translation", "coordinates", "objective_trace"):
+            np.testing.assert_array_equal(getattr(a.model, name), getattr(b.model, name))
+        np.testing.assert_array_equal(a.alpha.weights, b.alpha.weights)
+
+    @pytest.mark.parametrize("max_iter, reason", [(1, "max_iter"), (100, "tol")])
+    def test_state_records_why_the_fit_stopped(self, max_iter, reason):
+        X = _noisy_low_rank(np.random.default_rng(3))
+        state = epca_fit(X, 3, SigmaLossParams(1.0), max_iter=max_iter)
+        assert state.stop_reason == reason
+        assert (state.iterations == 1) == (max_iter == 1) and state.iterations < 100
+
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(60_001)
         X = _noisy_low_rank(rng)
@@ -274,10 +290,10 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     gen = np.random.default_rng(18)
     calls = []
 
-    def sabotaged(A, c, weights, *, gram=None):
+    def sabotaged(A, c, weights, *, gram=None, start=None):
         calls.append(c)
         if len(calls) == 1:  # the initial classical-PCA basis
-            return epca.core.top_eigenpairs(A, c, weights, gram=gram)
+            return epca.core.top_eigenpairs(A, c, weights, gram=gram, start=start)
         return None, np.linalg.qr(gen.standard_normal((A.shape[0], c)))[0]
 
     monkeypatch.setattr(epca.solver, "top_eigenpairs", sabotaged)
@@ -286,9 +302,9 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     assert len(calls) == 2
 
 
-def _dense_top_eigenpairs(A, c, weights, *, gram=None):
+def _dense_top_eigenpairs(A, c, weights, *, gram=None, start=None):
     """The weighted form computed through the d-by-d scatter only; the
-    solver's Gram buffer is ignored."""
+    solver's Gram buffer and start block are ignored."""
     return epca.core._dense_top_eigenpairs((A * weights) @ A.T, c)
 
 
@@ -327,15 +343,22 @@ def _gram_and_dense_fits(X, c, monkeypatch):
 
 
 def test_gram_route_fit_with_outlier_columns_matches_the_dense_fit(monkeypatch):
+    # Every basis step after the first starts from the previous basis and
+    # converges without the subset eigensolve, which runs once per fit.
     rng = np.random.default_rng(24)
     d, n, c = 300, 60, 5
     X = _noisy_low_rank(rng, d=d, n=n, c=c).values
     X[:, :6] = 10.0 * rng.standard_normal((d, 6))  # 10% outlier columns
-    routed, dense = _gram_and_dense_fits(X, c, monkeypatch)
+    eigh, subset_calls = epca.core.scipy.linalg.eigh, []
+    with monkeypatch.context() as m:
+        m.setattr(epca.core.scipy.linalg, "eigh",
+                  lambda *args, **kw: subset_calls.append(1) or eigh(*args, **kw))
+        routed, dense = _gram_and_dense_fits(X, c, monkeypatch)
+    assert len(subset_calls) == 1
     assert routed.iterations == dense.iterations > 1
     np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
     W, W_dense = routed.model.basis, dense.model.basis
-    assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-10
+    assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-12
 
 
 def _planted_wide(seed, d=200, n=50, c=4, drag=0.0):

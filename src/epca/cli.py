@@ -19,6 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .core import real_array
 from .errors import EpcaError, IngestionError, ValidationError
 from .evaluation import CorruptionSpec, corrupt, mean_clustering_accuracy, reconstruction_error
 from .harness import (
@@ -92,10 +93,9 @@ def _load_model(path):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        basis = np.array(raw["basis"], dtype=float)
-        translation = np.array(raw["translation"], dtype=float)
-        return SubspaceModel(basis, translation, np.empty((basis.shape[1], 0)))
-    except (EpcaError, IndexError, KeyError, TypeError, ValueError) as exc:
+        basis = real_array(raw["basis"], "basis", 2)
+        return SubspaceModel(basis, raw["translation"], np.empty((basis.shape[1], 0)))
+    except (EpcaError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(
             f"{path}: not a model file ({type(exc).__name__}: {exc})"
         ) from None

@@ -39,33 +39,22 @@ _GAP_TOL = 1e-13
 class DataMatrix:
     """Dense real matrix whose columns are samples.
 
-    ``values`` has shape (d, n): d features (rows) by n samples (columns).
-    Entries must be finite real numbers in equal-length rows (complex,
-    string or ragged input is a ``ValidationError``), and there must be at
-    least two samples.  The values are stored in C memory order, because a
-    fit's last bits depend on the order (a row mean sums a C-ordered row
-    pairwise, an F-ordered one column by column).
+    ``values`` has shape (d, n): d features (rows) by n samples (columns),
+    checked by :func:`real_array`, and there must be at least two samples.
+    The values are stored in C memory order, because a fit's last bits
+    depend on the order (a row mean sums a C-ordered row pairwise, an
+    F-ordered one column by column).
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        try:
-            raw = np.asarray(self.values)
-        except ValueError as exc:
-            raise ValidationError(f"matrix rows must all have the same length ({exc})") from None
-        if raw.dtype.kind not in "biuf":
-            raise ValidationError(f"matrix entries must be real numbers, got {raw.dtype} entries")
-        arr = np.ascontiguousarray(raw, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        arr = np.ascontiguousarray(real_array(self.values, "matrix", 2))
         d, n = arr.shape
         if d < 1:
             raise DimensionError("need at least one feature row")
         if n < 2:
             raise DimensionError(f"need at least two sample columns, got {n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("matrix entries must be finite (no NaN/Inf)")
         self.values = arr
 
     @property
@@ -145,6 +134,30 @@ def is_real(value) -> bool:
     return True
 
 
+def real_array(values, name: str, ndim: int, *, finite: bool = True) -> np.ndarray:
+    """``values`` as a float64 array with ``ndim`` axes; the check of every
+    real-valued array argument.
+
+    Entries of boolean, integer or float type are accepted.  Complex,
+    string, object or ragged input is a ``ValidationError``, and so is a
+    NaN/Inf entry unless ``finite`` is False; the wrong number of axes is a
+    ``DimensionError``.  A float64 array is returned as it is, not copied.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:
+        raise ValidationError(f"{name} rows must all have the same length ({exc})") from None
+    if raw.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} entries must be real numbers, got {raw.dtype} entries")
+    if raw.ndim != ndim:
+        shape = "vector" if ndim == 1 else "matrix"
+        raise DimensionError(f"{name} must be a {ndim}-D {shape}, got ndim={raw.ndim}")
+    arr = raw.astype(float, copy=False)
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} entries must be finite (no NaN/Inf)")
+    return arr
+
+
 def check_rank(c, limit: int) -> int:
     """Validate a target rank: an integer with ``1 <= c <= limit``."""
     c = as_integer(c, "rank c")
@@ -199,12 +212,11 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *, gram: np.ndarray | None = 
     scatter is ``A @ A.T`` for unit weights and ``(A * weights) @ A.T``
     otherwise.
 
-    ``gram``, if given, must be a writeable float64 array holding
-    ``A.T @ A``; it saves the O(d n^2) product: the alternating fit forms
-    that product once per fit and updates it as its mean moves.  The call
-    overwrites the buffer (it is scaled in place, then LAPACK works in it),
-    so ``gram`` no longer holds ``A.T @ A`` afterwards; the scatter route
-    ignores it.
+    ``gram``, optional, is ``A.T @ A`` and saves that O(d n^2) product (the
+    alternating fit forms it once per fit and updates it as its mean moves);
+    it is only read, and the scatter route ignores it.  Every array argument
+    is checked by :func:`real_array`; NaN/Inf in ``A`` or ``gram`` is left to
+    the finiteness checks of the Gram and the scatter.
 
     The gauge convention makes the output reproducible:
 
@@ -216,39 +228,29 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *, gram: np.ndarray | None = 
     The convention matters because downstream invariance checks compare bases
     between runs; an arbitrary eigenvector sign would break them.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise DimensionError(f"expected a 2-D data matrix, got ndim={A.ndim}")
+    A = real_array(A, "A", 2, finite=False)
     d, n = A.shape
     c = check_rank(c, d)
-    w = np.asarray(weights, dtype=float)
+    w = real_array(weights, "weights", 1)
     if w.shape != (n,):
         raise DimensionError(f"weights shape {w.shape} != ({n},)")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValidationError("weights must be finite and nonnegative")
+    if np.any(w < 0):
+        raise ValidationError("weights must be nonnegative")
     if gram is not None:
-        kind = (f"{gram.dtype} array{'' if gram.flags.writeable else ' (read-only)'}"
-                if isinstance(gram, np.ndarray) else type(gram).__name__)
-        if kind != "float64 array":
-            raise ValidationError(f"gram must be a writeable float64 array, got {kind}")
+        gram = real_array(gram, "gram", 2, finite=False)
         if gram.shape != (n, n):
             raise DimensionError(f"gram shape {gram.shape} != ({n}, {n})")
     if start is not None:
-        kind = f"{start.dtype} array" if isinstance(start, np.ndarray) else type(start).__name__
-        if not (isinstance(start, np.ndarray) and start.dtype.kind in "iuf"):
-            raise ValidationError(f"start must be a real array, got {kind}")
+        start = real_array(start, "start", 2)
         if start.shape != (c, n):
             raise DimensionError(f"start shape {start.shape} != ({c}, {n})")
-        if not np.all(np.isfinite(start)):
-            raise ValidationError("start entries must be finite (no NaN/Inf)")
 
     if gram_route(d, n, c):
         # A non-finite Gram or a tie at the boundary falls through to the
         # scatter, whose finiteness check reports an overflow.  numpy forms
         # A.T @ A by a symmetric rank-k update.
         s = np.sqrt(w)
-        G = A.T @ A if gram is None else gram
-        G *= s
+        G = np.multiply(A.T @ A if gram is None else gram, s)
         G *= s[:, None]
         if np.all(np.isfinite(G)):
             pairs = None if start is None else _subspace_iteration(G, s * start, c)

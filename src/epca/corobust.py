@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _EPS, real_array
 from .errors import DimensionError, InvariantError, ValidationError
-
-_EPS = np.finfo(float).eps
 
 # Largest double strictly below 1; stored weights are clamped here so the
 # open constraint w_i < 1 survives rounding when a weight approaches 1.
@@ -85,13 +84,9 @@ def solve_weights(losses) -> WeightVector:
     with a single zero loss is not attained.  Otherwise the closed form of
     the module docstring applies.
     """
-    f = np.asarray(losses, dtype=float)
-    if f.ndim != 1:
-        raise DimensionError("losses must be a 1-D vector")
+    f = real_array(losses, "losses", 1)
     if f.size < 2:
         raise DimensionError(f"need at least two losses, got {f.size}")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("losses must be finite")
     if np.any(f < 0):
         raise ValidationError("losses must be nonnegative")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import DataMatrix, RngHandle, as_integer, is_real
+from .core import DataMatrix, RngHandle, as_integer, is_real, real_array
 from .errors import DimensionError, ValidationError
 
 # Size of each work array of one block of k-means runs, in doubles.
@@ -130,16 +130,14 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
     # last bits depend on the order.
     Xc, Xo = (A.values if isinstance(A, DataMatrix) else DataMatrix(A).values
               for A in (X_clean, X_occ))
-    W = np.asarray(basis, dtype=float)
-    m = np.asarray(translation, dtype=float)
+    W = real_array(basis, "basis", 2)
+    m = real_array(translation, "translation", 1)
     if Xc.shape != Xo.shape:
         raise DimensionError(f"clean shape {Xc.shape} != occluded shape {Xo.shape}")
-    if W.ndim != 2 or W.shape[0] != Xc.shape[0] or W.shape[1] < 1:
+    if W.shape[0] != Xc.shape[0] or W.shape[1] < 1:
         raise DimensionError(f"basis shape {W.shape} incompatible with data {Xc.shape}")
     if m.shape != (Xc.shape[0],):
         raise DimensionError(f"translation shape {m.shape} != ({Xc.shape[0]},)")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("translation entries must be finite (no NaN/Inf)")
     if not np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) <= 1e-8:
         raise ValidationError("basis columns are not orthonormal")
     diff = (Xc - m[:, None]) - W @ (W.T @ (Xo - m[:, None]))
@@ -252,6 +250,8 @@ def _first_min(D):
 
 def clustering_accuracy(predicted, truth: LabelVector) -> float:
     """Best label-agreement fraction over one-to-one cluster/class mappings."""
+    if not isinstance(truth, LabelVector):
+        raise ValidationError(f"truth must be a LabelVector, got {type(truth).__name__}")
     pred = _whole_numbers(predicted, "predicted labels")
     if pred.shape != truth.labels.shape:
         raise DimensionError(
@@ -277,11 +277,9 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
     ``rng`` alone.  The restarts run in lock-step blocks, and each gives the
     labels it would give run alone.
     """
-    P = np.asarray(V, dtype=float)
-    if P.ndim != 2:
-        raise DimensionError("coordinates must be a 2-D matrix (columns = points)")
-    if not np.all(np.isfinite(P)):
-        raise ValidationError("coordinates must be finite (no NaN/Inf)")
+    if not isinstance(truth, LabelVector):
+        raise ValidationError(f"truth must be a LabelVector, got {type(truth).__name__}")
+    P = real_array(V, "coordinates", 2)
     k, n = truth.class_count, P.shape[1]
     if not (1 <= k <= n):
         raise DimensionError(f"need 1 <= class count <= {n} points, got {k} classes")

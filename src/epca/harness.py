@@ -145,7 +145,7 @@ def _csv_rows(path):
     is not a number is a header: it is skipped with a log notice.
     """
     first = True
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row_num, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue

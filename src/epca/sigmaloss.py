@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_real
+from .core import _EPS, is_real
 from .errors import InternalInvariantError, ValidationError
 
-_EPS = np.finfo(float).eps
 # The smallest norm the coefficient works with: its square is a normal float.
 _R_FLOOR = 2.0 ** -500
 

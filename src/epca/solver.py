@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, as_integer, check_rank, gram_route, is_real, top_eigenpairs
+from .core import DataMatrix, as_integer, check_rank, gram_route, is_real, real_array, top_eigenpairs
 from .corobust import WeightVector, solve_weights
 from .errors import DimensionError, ValidationError
 from .sigmaloss import SigmaLossParams, coefficient_kernel, descent_converged, loss_kernel
@@ -45,21 +45,16 @@ class SubspaceModel:
     objective_trace: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def __post_init__(self):
-        W = np.asarray(self.basis, dtype=float)
-        m = np.asarray(self.translation, dtype=float)
-        V = np.asarray(self.coordinates, dtype=float)
-        if W.ndim != 2:
-            raise DimensionError(f"basis must be a 2-D matrix, got ndim={W.ndim}")
+        W = real_array(self.basis, "basis", 2)
+        m = real_array(self.translation, "translation", 1)
+        V = real_array(self.coordinates, "coordinates", 2)
         d, c = W.shape
         if not (1 <= c < d):
             raise DimensionError(f"need 1 <= c < d, got c={c}, d={d}")
         if m.shape != (d,):
             raise DimensionError(f"translation shape {m.shape} != ({d},)")
-        if V.ndim != 2 or V.shape[0] != c:
+        if V.shape[0] != c:
             raise DimensionError(f"coordinates must have {c} rows, got shape {V.shape}")
-        for name, arr in (("basis", W), ("translation", m), ("coordinates", V)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} entries must be finite (no NaN/Inf)")
         gram_err = np.max(np.abs(W.T @ W - np.eye(c)))
         if not gram_err <= 1e-10:
             raise DimensionError(f"basis is not orthonormal (max |W'W - I| = {gram_err:.2e})")
@@ -121,11 +116,9 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     # initial mean.  Every later mean lies at Xc @ eta / sum(eta) from it,
     # so its Gram is K - a 1' - 1 a' + (a'eta / sum(eta)) 1 1' with
     # a = K @ eta / sum(eta).  As eta > 0, these are convex combinations of
-    # entries of K and round like a fresh Gram.  top_eigenpairs overwrites
-    # G, so each call gets a freshly written one.
+    # entries of K and round like a fresh Gram.
     K = Xc.T @ Xc if gram_route(d, n, c) else None
-    G = None if K is None else K.copy()
-    _, W = top_eigenpairs(Xc, c, np.ones(n), gram=G)
+    _, W = top_eigenpairs(Xc, c, np.ones(n), gram=K)
     V = W.T @ Xc
     rn = _residual_norms(Xc, W, V, T)
 
@@ -136,7 +129,7 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     data_norms = np.hypot(rn, np.linalg.norm(V, axis=0)) + np.linalg.norm(m)
     scale = float(np.sum(loss_kernel(data_norms, sigma) / comp))
     ks = []
-    start = None
+    G = start = None
 
     for _ in range(max_iter):
         eta = coefficient_kernel(rn, sigma) / comp
@@ -146,7 +139,7 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         np.subtract(X, m[:, None], out=Xc)
         if K is not None:
             a = K @ eta / total
-            np.subtract(K, a, out=G)
+            G = K - a
             G -= a[:, None]
             G += a @ eta / total
             # The previous basis, in the coordinates of the new centring,
@@ -201,8 +194,8 @@ def epca_fit(X: DataMatrix, c: int, p: SigmaLossParams, tol: float = 1e-8,
 
 def transform(model: SubspaceModel, Y) -> np.ndarray:
     """Project samples (columns of Y) onto the model: W^T (Y - m 1^T)."""
-    Yv = Y.values if isinstance(Y, DataMatrix) else np.asarray(Y, dtype=float)
-    if Yv.ndim != 2 or Yv.shape[0] != model.basis.shape[0]:
+    Yv = Y.values if isinstance(Y, DataMatrix) else real_array(Y, "samples", 2, finite=False)
+    if Yv.shape[0] != model.basis.shape[0]:
         raise DimensionError(
             f"expected {model.basis.shape[0]} feature rows, got shape {Yv.shape}"
         )
@@ -211,8 +204,8 @@ def transform(model: SubspaceModel, Y) -> np.ndarray:
 
 def reconstruct(model: SubspaceModel, V) -> np.ndarray:
     """Map coordinates back to feature space: W V + m 1^T."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != model.target_rank:
+    V = real_array(V, "coordinates", 2, finite=False)
+    if V.shape[0] != model.target_rank:
         raise DimensionError(
             f"expected {model.target_rank} coordinate rows, got shape {V.shape}"
         )

@@ -347,22 +347,32 @@ class TestTopEigenpairsWeighted:
         assert results[0] is None and len(products) <= steps
 
     @pytest.mark.parametrize("start, error", [
-        ([[0.0] * 3], ValidationError),
         (np.zeros((1, 3), dtype=complex), ValidationError),
         (np.zeros((3, 1)), DimensionError),
         (np.array([[0.0, np.nan, 1.0]]), ValidationError),
         (np.array([[0.0, np.inf, 1.0]]), ValidationError),
-    ], ids=["list", "complex", "transposed", "nan", "inf"])
+    ], ids=["complex", "transposed", "nan", "inf"])
     def test_rejects_a_bad_start_block(self, start, error):
         with pytest.raises(error, match="start"):
             top_eigenpairs(np.ones((6, 3)), 1, np.ones(3), start=start)
 
     @pytest.mark.parametrize("gram, error", [
-        ([[0.0] * 3] * 3, ValidationError),
-        (np.zeros((3, 3), dtype=np.int64), ValidationError),
-        (np.broadcast_to(0.0, (3, 3)), ValidationError),
         (np.zeros((4, 4)), DimensionError),
-    ], ids=["list", "int64", "read-only", "shape"])
+    ], ids=["shape"])
     def test_rejects_a_bad_gram_buffer(self, gram, error):
         with pytest.raises(error, match="gram"):
             top_eigenpairs(np.ones((6, 3)), 1, np.ones(3), gram=gram)
+
+    @pytest.mark.parametrize("layout", ["array", "read-only", "list"])
+    def test_gram_is_only_read(self, layout):
+        A, w = self._wide(10)
+        K = A.T @ A
+        gram = K.copy()
+        if layout == "read-only":
+            gram.flags.writeable = False
+        elif layout == "list":
+            gram = gram.tolist()
+        got = top_eigenpairs(A, 4, w, gram=gram)
+        np.testing.assert_array_equal(np.asarray(gram), K)
+        for got_part, ref_part in zip(got, top_eigenpairs(A, 4, w)):
+            np.testing.assert_array_equal(got_part, ref_part)

@@ -152,7 +152,7 @@ class TestReconstructionError:
 
     def test_rejects_a_nan_basis(self):
         X = DataMatrix(np.ones((3, 4)))
-        with pytest.raises(ValidationError, match="orthonormal"):
+        with pytest.raises(ValidationError, match="finite"):
             reconstruction_error(X, X, np.full((3, 1), np.nan), np.zeros(3))
 
     def test_rejects_a_non_finite_translation(self):
@@ -320,6 +320,14 @@ class TestClusteringAccuracy:
         assert clustering_accuracy(np.array([1.0, 0.0]), truth) == 1.0
         with pytest.raises(ValidationError, match="whole numbers, got 0.5"):
             clustering_accuracy(np.array([0.5, 1.0]), truth)
+
+    @pytest.mark.parametrize("score", [
+        lambda truth: clustering_accuracy(np.array([0, 1, 1]), truth),
+        lambda truth: mean_clustering_accuracy(np.ones((2, 3)), truth, 1, RngHandle(0)),
+    ], ids=["clustering_accuracy", "mean_clustering_accuracy"])
+    def test_truth_must_be_a_label_vector(self, score):
+        with pytest.raises(ValidationError, match="truth must be a LabelVector, got ndarray"):
+            score(np.array([0, 1, 1]))
 
 
 class TestLabelVector:

@@ -133,6 +133,22 @@ class TestIngestCsv:
         with pytest.raises(IngestionError, match="no numeric data rows"):
             ingest_csv(path)
 
+    # Excel and other Windows tools start a UTF-8 CSV with a byte-order mark,
+    # which must not turn the first row into a header.
+    def test_a_byte_order_mark_keeps_the_first_sample(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("\ufeff1.0,2\n3,4\n5,6\n", encoding="utf-8")
+        X, _ = ingest_csv(data)
+        np.testing.assert_array_equal(X.values, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+    def test_a_byte_order_mark_keeps_the_first_label(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1,2\n3,4\n5,6\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\ufeff9\n5\n9\n", encoding="utf-8")
+        _, lv = ingest_csv(data, labels)
+        np.testing.assert_array_equal(lv.labels, [1, 0, 1])
+
     def test_labels_are_loaded_and_remapped(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("1,2\n3,4\n5,6\n")

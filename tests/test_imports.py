@@ -1,5 +1,6 @@
-"""Every module-level import in the package's modules is used, and every
-module-level private definition is referenced somewhere in the package."""
+"""Every module-level import in the package's modules is used, every
+module-level private definition is referenced somewhere in the package, and
+array arguments are converted by ``core.real_array`` alone."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,48 @@ def test_every_exported_name_is_used_in_the_package():
     referenced = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
                                for p in MODULES))
     assert sorted(set(epca.__all__) - referenced - exempt) == []
+
+
+# The sites that convert their own arrays by a rule of their own: labels are
+# whole numbers, WeightVector re-checks what solve_weights built, and
+# ingest_csv builds its matrix from floats it parsed itself.
+_OWN_ARRAY_RULE = {("evaluation", "_whole_numbers"), ("corobust", "WeightVector"),
+                   ("harness", "ingest_csv")}
+
+
+def _array_conversions(tree):
+    """``{top-level definition: [lines]}`` of each ``np.asarray``/``np.array``
+    call that converts a parameter (``self.<field>`` too) or asks for floats."""
+    found = {}
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for func in (node for node in ast.walk(top) if isinstance(node, ast.FunctionDef)):
+            args = func.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                        and node.func.attr in ("asarray", "array", "ascontiguousarray")
+                        and node.args):
+                    continue
+                arg = node.args[0]
+                converts_param = ((isinstance(arg, ast.Name) and arg.id in params)
+                                  or (isinstance(arg, ast.Attribute)
+                                      and isinstance(arg.value, ast.Name)
+                                      and arg.value.id == "self"))
+                to_float = any(k.arg == "dtype" and isinstance(k.value, ast.Name)
+                               and k.value.id == "float" for k in node.keywords)
+                if converts_param or to_float:
+                    found.setdefault(top.name, set()).add(node.lineno)
+    return found
+
+
+def test_array_arguments_are_converted_by_core_real_array():
+    sites = {(p.stem, name): lines for p in MODULES if p.stem != "core"
+             for name, lines in _array_conversions(ast.parse(p.read_text(encoding="utf-8"))).items()}
+    stray = sorted(f"{stem}.{name} (lines {sorted(lines)})"
+                   for (stem, name), lines in sites.items() if (stem, name) not in _OWN_ARRAY_RULE)
+    assert stray == []
+    # The exemptions name sites that still exist.
+    assert sorted(_OWN_ARRAY_RULE - sites.keys()) == []

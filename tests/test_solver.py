@@ -304,7 +304,7 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
 
 def _dense_top_eigenpairs(A, c, weights, *, gram=None, start=None):
     """The weighted form computed through the d-by-d scatter only; the
-    solver's Gram buffer and start block are ignored."""
+    solver's Gram and start block are ignored."""
     return epca.core._dense_top_eigenpairs((A * weights) @ A.T, c)
 
 

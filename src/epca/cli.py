@@ -21,15 +21,16 @@ import numpy as np
 
 from .core import real_array
 from .errors import EpcaError, IngestionError, ValidationError
-from .evaluation import CorruptionSpec, corrupt, mean_clustering_accuracy, reconstruction_error
+from .evaluation import CorruptionSpec, corrupt
 from .harness import (
     KNOWN_METHODS,
+    SIGMA_METHODS,
     ExperimentConfig,
     fit_method,
     grid_search_sigma,
     ingest_csv,
     run_experiment,
-    scoring_stream,
+    score_model,
 )
 from .solver import SubspaceModel, transform
 
@@ -75,7 +76,7 @@ def _cmd_fit(args):
     _emit({
         "method": args.method,
         "rank": args.rank,
-        "sigma": args.sigma if args.method == "epca" else None,
+        "sigma": args.sigma if args.method in SIGMA_METHODS else None,
         "basis": [[float(v) for v in row] for row in model.basis],
         "translation": [float(v) for v in model.translation],
         "iterations": iterations,
@@ -105,17 +106,9 @@ def _cmd_eval(args):
     X_clean, labels = ingest_csv(args.clean, args.labels)
     X_occ, _ = ingest_csv(args.occluded)
     model = _load_model(args.model)
-    result = {
-        "reconstruction_error": reconstruction_error(
-            X_clean, X_occ, model.basis, model.translation
-        ),
-        "mean_accuracy": None,
-    }
-    if labels is not None:
-        result["mean_accuracy"] = mean_clustering_accuracy(
-            transform(model, X_occ), labels, args.restarts,
-            scoring_stream(args.seed, model.target_rank),
-        )
+    result = {"reconstruction_error": None, "mean_accuracy": None}
+    score_model(result, X_clean, X_occ, model, transform(model, X_occ), labels,
+                args.restarts, args.seed)
     _emit(result, args.out)
     return 0
 

@@ -81,9 +81,7 @@ class RngHandle:
     path: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        seed = as_integer(self.seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if not isinstance(self.path, tuple):
             raise ValidationError(f"path must be a tuple of derivation keys, got {self.path!r}")
         path = tuple(as_integer(key, "derivation key") for key in self.path)
@@ -92,7 +90,6 @@ class RngHandle:
                 raise ValidationError(
                     f"integer derivation keys must fit in 32 bits, got {key!r}"
                 )
-        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "path", path)
 
     def derive(self, *keys) -> "RngHandle":
@@ -120,6 +117,28 @@ def as_integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as a Python int of at least 1: an iteration budget or any other count."""
+    count = as_integer(value, name)
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def as_seed(value) -> int:
+    """``value`` as a Python int seed, which must fit in 64 unsigned bits."""
+    seed = as_integer(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
+def check_tol(tol) -> None:
+    """Validate a convergence tolerance: a finite real number >= 0."""
+    if not (is_real(tol) and 0 <= tol < np.inf):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def is_real(value) -> bool:

@@ -55,10 +55,10 @@ class WeightVector:
     complements: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
+        w = real_array(self.weights, "weights", 1)
+        if w.size < 2:
             raise DimensionError("weights must be a 1-D vector of length >= 2")
-        if np.any(w < 0) or np.any(w >= 1) or not np.all(np.isfinite(w)):
+        if np.any(w < 0) or np.any(w >= 1):
             raise InvariantError("weights must lie in [0, 1)")
         if abs(w.sum() - 1.0) > 1e-12 * w.size:
             raise InvariantError(f"weights sum to {w.sum()!r}, expected 1")
@@ -67,7 +67,7 @@ class WeightVector:
                 f"{np.count_nonzero(w > 0)} positive weights but "
                 f"active_count={self.active_count}"
             )
-        comp = np.asarray(self.complements, dtype=float)
+        comp = real_array(self.complements, "complements", 1)
         if comp.shape != w.shape:
             raise DimensionError("complements shape must match weights")
         self.weights, self.complements = w, comp

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import DataMatrix, RngHandle, as_integer, is_real, real_array
+from .core import DataMatrix, RngHandle, as_count, as_seed, is_real, real_array
 from .errors import DimensionError, ValidationError
 
 # Size of each work array of one block of k-means runs, in doubles.
@@ -43,13 +43,12 @@ class CorruptionSpec:
             value = getattr(self, name)
             if not (is_real(value) and 0.0 <= value <= 1.0):
                 raise ValidationError(f"{name} must be a real number in [0, 1], got {value!r}")
-        if not (0 <= as_integer(self.seed, "seed") < 2**64):
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        as_seed(self.seed)
 
 
 @dataclass
 class LabelVector:
-    """Ground-truth class ids in [0, class_count); a float id must be a whole number."""
+    """Ground-truth class ids in [0, class_count), read by ``_whole_numbers``."""
 
     labels: np.ndarray
     class_count: int
@@ -58,9 +57,7 @@ class LabelVector:
         lab = _whole_numbers(self.labels, "labels")
         if lab.ndim != 1:
             raise DimensionError("labels must be a 1-D vector")
-        k = as_integer(self.class_count, "class_count")
-        if k < 1:
-            raise ValidationError(f"class_count must be positive, got {k}")
+        k = as_count(self.class_count, "class_count")
         if lab.size and (lab.min() < 0 or lab.max() >= k):
             raise ValidationError(
                 f"labels must lie in [0, {k}), got range [{lab.min()}, {lab.max()}]"
@@ -76,12 +73,15 @@ class LabelVector:
 
 
 def _whole_numbers(values, name):
-    """``values`` as an int array; a float entry must be a whole number."""
+    """``values`` as an int array; the one rule for class ids.  A float entry
+    must be a whole number below 2**53 in magnitude: every such number is
+    exact in a float, and none overflows the int cast."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f":
-        bad = arr[~(np.isfinite(arr) & (arr == np.round(arr)))]
+        bad = arr[~((np.abs(arr) < 2**53) & (arr == np.round(arr)))]
         if bad.size:
-            raise ValidationError(f"{name} must be whole numbers, got {bad[0]}")
+            raise ValidationError(f"{name} must be whole numbers, got {bad[0]} "
+                                  "(a float id must lie below 2**53 in magnitude)")
     elif arr.dtype.kind not in "biu":
         raise ValidationError(f"{name} must be whole numbers, got {arr.dtype} entries")
     return arr.astype(int, copy=False)
@@ -283,9 +283,7 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
     k, n = truth.class_count, P.shape[1]
     if not (1 <= k <= n):
         raise DimensionError(f"need 1 <= class count <= {n} points, got {k} classes")
-    restarts = as_integer(restarts, "restarts")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
+    restarts = as_count(restarts, "restarts")
     # Scaling by a power of two is exact, so the labels do not change, and
     # it keeps the squared distances in range whatever the data's scale.
     P = np.ldexp(P, -np.frexp(np.max(np.abs(P), initial=0.0))[1])

@@ -9,7 +9,6 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -17,15 +16,18 @@ import numpy as np
 
 from . import __version__
 from .baselines import fit_classical_pca, fit_pca_om
-from .core import DataMatrix, RngHandle, as_integer, is_real
+from .core import DataMatrix, RngHandle, as_count, as_seed, check_tol, is_real
 from .errors import DimensionError, IngestionError, InternalInvariantError, ValidationError
-from .evaluation import CorruptionSpec, LabelVector, corrupt, mean_clustering_accuracy, reconstruction_error
+from .evaluation import (CorruptionSpec, LabelVector, _whole_numbers, corrupt,
+                         mean_clustering_accuracy, reconstruction_error)
 from .sigmaloss import SigmaLossParams
 from .solver import epca_fit
 
 logger = logging.getLogger(__name__)
 
 KNOWN_METHODS = ("classical_pca", "epca", "pca_om")
+# The methods whose fit reads sigma; the others ignore it.
+SIGMA_METHODS = ("epca",)
 
 
 @dataclass
@@ -53,33 +55,23 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("methods", "ranks", "sigma_grid", "seeds"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValidationError(
-                    f"{name} must be a list, got {getattr(self, name)!r}")
-        if not self.methods:
-            raise ValidationError("methods must be non-empty")
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValidationError(f"{name} must be a list, got {value!r}")
+            if not value:
+                raise ValidationError(f"{name} must be non-empty")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}; known: {KNOWN_METHODS}")
-        self.ranks = [as_integer(c, "rank c") for c in self.ranks]
-        if not self.ranks or min(self.ranks) < 1:
-            raise ValidationError("ranks must be a non-empty list of positive integers")
-        if not self.sigma_grid:
-            raise ValidationError("sigma_grid must be non-empty")
-        if not self.seeds:
-            raise ValidationError("seeds must be non-empty")
+        self.ranks = [as_count(c, "rank c") for c in self.ranks]
         bad_sigmas = [s for s in self.sigma_grid if not is_real(s)]
         if bad_sigmas:
             raise ValidationError(f"sigma_grid entries must be real numbers, got {bad_sigmas}")
         self.sigma_grid = [float(s) for s in self.sigma_grid]
-        self.seeds = [as_integer(s, "seed") for s in self.seeds]
+        self.seeds = [as_seed(s) for s in self.seeds]
         for name in ("kmeans_restarts", "max_iter"):
-            value = as_integer(getattr(self, name), name)
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-            setattr(self, name, value)
-        if not (is_real(self.tol) and 0 <= self.tol < math.inf):
-            raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
+            setattr(self, name, as_count(getattr(self, name), name))
+        check_tol(self.tol)
 
     def echo(self) -> dict:
         """The settings as plain JSON values; the placeholder corruption seed is left out."""
@@ -128,14 +120,11 @@ def _parse_cell(cell, row_num, col_num):
 
 
 def _parse_label(cell, row_num):
-    # Every integer below 2**53 is exact in a float; nothing else is a class id.
     try:
-        value = float(cell)
-    except ValueError:
-        value = float("nan")
-    if not (value.is_integer() and abs(value) < 2**53):
-        raise IngestionError(f"row {row_num}: could not parse label {cell!r} as an integer")
-    return int(value)
+        return int(_whole_numbers(float(cell), "label"))
+    except (ValueError, ValidationError):
+        pass
+    raise IngestionError(f"row {row_num}: could not parse label {cell!r} as an integer")
 
 
 def _csv_rows(path):
@@ -194,8 +183,8 @@ def ingest_csv(path, labels_path=None):
 def fit_method(method, X, rank, sigma, tol, max_iter):
     """Fit one of ``KNOWN_METHODS``; returns (model, iterations, active_count_trace).
 
-    ``sigma`` is used by ``epca`` only, and ``tol``/``max_iter`` by the two
-    iterative fits.  The fits are looked up as module globals at call time,
+    ``sigma`` is used by the ``SIGMA_METHODS`` only, and ``tol``/``max_iter``
+    by the two iterative fits.  The fits are looked up as module globals at call time,
     so a wrapper installed on ``epca.harness.<fit>`` sees every call.
     """
     if method == "classical_pca":
@@ -210,14 +199,21 @@ def fit_method(method, X, rank, sigma, tol, max_iter):
     return model, max(len(model.objective_trace) - 1, 0), k_trace
 
 
-def scoring_stream(seed, rank) -> RngHandle:
-    """The k-means stream that scores a rank-``rank`` model under experiment ``seed``.
+def score_model(result, X, X_occ, model, coordinates, labels, restarts, seed):
+    """Score a model fitted on ``X_occ`` into ``result``, a grid cell's or ``epca eval``'s.
 
-    Every method and sigma at one ``(seed, rank)`` clusters from the same
-    restart streams, so their accuracies are paired; ``epca eval`` uses the
-    same stream to reproduce a grid cell.
+    Sets ``reconstruction_error`` against the clean ``X`` and, given
+    ``labels``, ``mean_accuracy`` of k-means on ``coordinates`` (``X_occ`` in
+    the model) over ``restarts`` restarts.  These draw from the stream of
+    experiment ``seed`` and the model's rank, so all methods and sigmas at
+    one ``(seed, rank)`` are scored on paired streams, and ``epca eval``
+    reproduces a grid cell by the same call.
     """
-    return RngHandle(seed).derive("score", rank)
+    result["reconstruction_error"] = reconstruction_error(X, X_occ, model.basis, model.translation)
+    if labels is not None:
+        result["mean_accuracy"] = mean_clustering_accuracy(
+            coordinates, labels, restarts, RngHandle(seed).derive("score", model.target_rank)
+        )
 
 
 def _fit_and_score(seed, method, rank, sigma, X, X_occ, labels, cfg):
@@ -231,18 +227,11 @@ def _fit_and_score(seed, method, rank, sigma, X, X_occ, labels, cfg):
               "wall_clock_s": None, "error": None}
     start = time.perf_counter()
     try:
-        model, iterations, k_trace = fit_method(
+        model, result["iterations"], result["active_count_trace"] = fit_method(
             method, X_occ, rank, sigma, cfg.tol, cfg.max_iter
         )
-        result["reconstruction_error"] = reconstruction_error(
-            X, X_occ, model.basis, model.translation
-        )
-        result["iterations"] = iterations
-        result["active_count_trace"] = k_trace
-        if labels is not None:
-            result["mean_accuracy"] = mean_clustering_accuracy(
-                model.coordinates, labels, cfg.kmeans_restarts, scoring_stream(seed, rank)
-            )
+        score_model(result, X, X_occ, model, model.coordinates, labels,
+                    cfg.kmeans_restarts, seed)
     except Exception as exc:  # record the failure in place, keep the grid running
         result["error"] = f"{type(exc).__name__}: {exc}"
     result["wall_clock_s"] = time.perf_counter() - start
@@ -272,9 +261,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Per seed the input is occluded once and shared by every method/rank/sigma
     cell; models are fitted on the occluded matrix, errors are measured
     against the clean one, and clustering accuracy (when labels exist) is the
-    mean over k-means restarts on the fitted coordinates, drawn from
-    :func:`scoring_stream`.  Each distinct fit, ``(seed, method, rank)`` plus
-    sigma for ``epca``, is fitted and scored once and copied into every cell
+    mean over k-means restarts on the fitted coordinates (see
+    :func:`score_model`).  Each distinct fit, ``(seed, method, rank)`` plus
+    sigma for the ``SIGMA_METHODS``, is fitted and scored once and copied into every cell
     that shares it, ``wall_clock_s`` included.  A failing fit is recorded in
     its cells with its error message; the remaining cells still run.
     """
@@ -284,7 +273,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     results = {}  # one fit-and-score per distinct fit; the baselines ignore sigma
     cells = []
     for index, (seed, method, rank, sigma) in enumerate(grid):
-        key = (seed, method, rank, sigma if method == "epca" else None)
+        key = (seed, method, rank, sigma if method in SIGMA_METHODS else None)
         if key not in results:
             results[key] = _fit_and_score(
                 seed, method, rank, sigma, X, occluded[seed], labels, cfg

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, as_integer, check_rank, gram_route, is_real, real_array, top_eigenpairs
+from .core import DataMatrix, as_count, check_rank, check_tol, gram_route, real_array, top_eigenpairs
 from .corobust import WeightVector, solve_weights
 from .errors import DimensionError, ValidationError
 from .sigmaloss import SigmaLossParams, coefficient_kernel, descent_converged, loss_kernel
@@ -48,6 +48,7 @@ class SubspaceModel:
         W = real_array(self.basis, "basis", 2)
         m = real_array(self.translation, "translation", 1)
         V = real_array(self.coordinates, "coordinates", 2)
+        trace = real_array(self.objective_trace, "objective_trace", 1, finite=False)
         d, c = W.shape
         if not (1 <= c < d):
             raise DimensionError(f"need 1 <= c < d, got c={c}, d={d}")
@@ -58,7 +59,7 @@ class SubspaceModel:
         gram_err = np.max(np.abs(W.T @ W - np.eye(c)))
         if not gram_err <= 1e-10:
             raise DimensionError(f"basis is not orthonormal (max |W'W - I| = {gram_err:.2e})")
-        self.basis, self.translation, self.coordinates = W, m, V
+        self.basis, self.translation, self.coordinates, self.objective_trace = W, m, V, trace
 
     @property
     def target_rank(self) -> int:
@@ -99,10 +100,8 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     optimal-mean robust-PCA specialization the baselines reuse, and the
     state's ``alpha`` is None.
     """
-    if as_integer(max_iter, "max_iter") < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    if not (is_real(tol) and 0 <= tol < np.inf):
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    max_iter = as_count(max_iter, "max_iter")
+    check_tol(tol)
     d, n = X.shape
     comp = np.full(n, (n - 1.0) / n) if learn_alpha else np.ones(n)
     alpha_wv = None

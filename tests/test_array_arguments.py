@@ -17,6 +17,7 @@ from epca import (
     LabelVector,
     RngHandle,
     SubspaceModel,
+    WeightVector,
     mean_clustering_accuracy,
     reconstruct,
     reconstruction_error,
@@ -44,7 +45,9 @@ def _entry_points():
            "start": rng.standard_normal((2, 3))}
     recon = {"X_clean": X, "X_occ": X, "basis": np.eye(3)[:, :1], "translation": np.zeros(3)}
     fields = {"basis": np.eye(4)[:, :2], "translation": np.zeros(4),
-              "coordinates": np.zeros((2, 3))}
+              "coordinates": np.zeros((2, 3)), "objective_trace": np.array([2.0, 1.0])}
+    weights = {"weights": np.array([0.5, 0.5, 0.0]), "active_count": 2, "lam": 1.0,
+               "complements": np.array([0.5, 0.5, 1.0])}
     score = {"V": rng.standard_normal((2, 4)), "truth": LabelVector([0, 1, 0, 1], 2),
              "restarts": 1, "rng": RngHandle(0)}
     saved = {"basis": np.eye(4)[:, :2], "translation": np.zeros(4)}
@@ -56,6 +59,7 @@ def _entry_points():
            for name in ("basis", "translation")]
         + [("mean_clustering_accuracy", mean_clustering_accuracy, score, "V")]
         + [("SubspaceModel", SubspaceModel, fields, name) for name in fields]
+        + [("WeightVector", WeightVector, weights, name) for name in ("weights", "complements")]
         + [("transform", transform, {"model": model, "Y": np.ones((4, 3))}, "Y"),
            ("reconstruct", reconstruct, {"model": model, "V": np.zeros((2, 3))}, "V")]
         + [("cli._load_model", _load_model_file, saved, name) for name in saved]

@@ -195,6 +195,10 @@ class TestWeightVectorInvariants:
         with pytest.raises(InvariantError):
             self._weights([0.5, 0.5, 0.0], 3)
 
+    def test_rejects_non_finite_complements(self):
+        with pytest.raises(ValidationError, match="complements entries must be finite"):
+            WeightVector(np.array([0.5, 0.5, 0.0]), 2, 1.0, np.array([0.5, np.nan, 1.0]))
+
     def test_rejects_complements_of_another_shape(self):
         with pytest.raises(DimensionError):
             WeightVector(np.array([0.5, 0.5, 0.0]), 2, 1.0, np.ones(2))

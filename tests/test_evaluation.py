@@ -348,6 +348,15 @@ class TestLabelVector:
         with pytest.raises(ValidationError, match="whole numbers"):
             LabelVector.from_raw([1.5, 2.0])
 
+    def test_float_labels_must_lie_below_2_53(self):
+        # Past 2**53 a float no longer holds every whole number, and past
+        # 2**63 the int cast overflows.
+        assert LabelVector.from_raw([2.0**53 - 1, 0.0]).class_count == 2
+        with pytest.raises(ValidationError, match="whole numbers"):
+            LabelVector([1e20, 1.0], 2)
+        with pytest.raises(ValidationError, match="whole numbers"):
+            LabelVector.from_raw([1e20, 2e20, 0.0])
+
     @pytest.mark.parametrize("count", [0, -1, 2.0, "2"])
     def test_class_count_must_be_a_positive_integer(self, count):
         with pytest.raises(ValidationError, match="class_count"):

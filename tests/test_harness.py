@@ -188,7 +188,7 @@ class TestExperimentConfig:
                 _config("x.csv", **{name: value})
 
     def test_ranks_must_be_positive(self):
-        with pytest.raises(ValidationError, match="positive"):
+        with pytest.raises(ValidationError, match=">= 1"):
             _config("x.csv", ranks=[0])
         with pytest.raises(ValidationError, match=r"rank c must be an integer, got 2\.5"):
             _config("x.csv", ranks=[2, 2.5])

@@ -1,6 +1,7 @@
 """Every module-level import in the package's modules is used, every
-module-level private definition is referenced somewhere in the package, and
-array arguments are converted by ``core.real_array`` alone."""
+module-level private definition is referenced somewhere in the package,
+array arguments are converted by ``core.real_array`` alone, and integer
+arguments are checked by the rules in ``core`` alone."""
 
 import ast
 from pathlib import Path
@@ -82,10 +83,8 @@ def test_every_exported_name_is_used_in_the_package():
 
 
 # The sites that convert their own arrays by a rule of their own: labels are
-# whole numbers, WeightVector re-checks what solve_weights built, and
-# ingest_csv builds its matrix from floats it parsed itself.
-_OWN_ARRAY_RULE = {("evaluation", "_whole_numbers"), ("corobust", "WeightVector"),
-                   ("harness", "ingest_csv")}
+# whole numbers, and ingest_csv builds its matrix from floats it parsed itself.
+_OWN_ARRAY_RULE = {("evaluation", "_whole_numbers"), ("harness", "ingest_csv")}
 
 
 def _array_conversions(tree):
@@ -124,3 +123,14 @@ def test_array_arguments_are_converted_by_core_real_array():
     assert stray == []
     # The exemptions name sites that still exist.
     assert sorted(_OWN_ARRAY_RULE - sites.keys()) == []
+
+
+def test_integer_rules_are_applied_by_core_alone():
+    # Outside core an integer argument goes through as_count, as_seed or
+    # check_rank, so each integer rule and its message live in one place.
+    calls = sorted(f"{p.stem} (line {node.lineno})" for p in MODULES if p.stem != "core"
+                   for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call)
+                   and (getattr(node.func, "id", None) == "as_integer"
+                        or getattr(node.func, "attr", None) == "as_integer"))
+    assert calls == []

@@ -537,6 +537,10 @@ class TestSubspaceModelInvariants:
         with pytest.raises(DimensionError):
             SubspaceModel(np.eye(4)[:, :2], np.zeros(4), np.zeros((3, 2)))
 
+    def test_objective_trace_must_be_a_vector(self):
+        with pytest.raises(DimensionError, match="objective_trace must be a 1-D vector"):
+            SubspaceModel(np.eye(3)[:, :1], np.zeros(3), np.zeros((1, 2)), objective_trace=5.0)
+
     @pytest.mark.parametrize("field", ["basis", "translation", "coordinates"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, field, bad):

@@ -1,17 +1,18 @@
-"""Shared containers: data matrices, seeded RNG streams, and the deterministic
-weighted-scatter eigendecomposition used by every subspace method in the package.
+"""Shared containers: data matrices, seeded RNG streams, the argument rules,
+and the deterministic weighted-scatter eigendecomposition used by every
+subspace method in the package.
 
-On wide data (c < n < d) the eigendecomposition reads the top c+1 eigenpairs
-of the n-by-n Gram of the weighted data, plus O(d n c) for the mapping to
-d-dimensional eigenvectors, and it takes the Gram's O(d n^2) product from the
-caller when given: the alternating fit forms that product once per fit and
-updates it by a rank-2 correction when its mean moves.  Given a start block
-(the alternating fit passes its previous basis), the eigenpairs come from
-block subspace iteration at O(n^2 c) per step; without one, or when the
-iteration does not converge within its step budget, from a subset ``eigh``
-at O(n^3).  A mapped basis that is not orthonormal to 1e-12 is repaired by
-one Rayleigh-Ritz step; the route falls through to a full ``eigh`` of the
-d-by-d scatter on an overflow or an eigenvalue tie at the c boundary."""
+``top_eigenpairs(A, c, weights)`` is the public eigensolver.  On wide data
+(c < n < d) it reads the top c+1 eigenpairs of the n-by-n Gram of the
+weighted data, at O(d n^2 + n^3) plus O(d n c) for the mapping to
+d-dimensional eigenvectors; a mapped basis that is not orthonormal to 1e-12
+is repaired by one Rayleigh-Ritz step, and the route falls through to a full
+``eigh`` of the d-by-d scatter on an overflow or an eigenvalue tie at the c
+boundary.  The Gram eigensolve itself, ``_gram_eigenpairs``, is shared with
+the alternating fit, which keeps its own Gram and passes a start block (its
+previous basis): the eigenpairs then come from block subspace iteration at
+O(n^2 c) per step, and from a subset ``eigh`` at O(n^3) without a start or
+when the iteration does not converge within its step budget."""
 
 from __future__ import annotations
 
@@ -186,56 +187,39 @@ def check_rank(c, limit: int) -> int:
 
 
 def gram_route(d: int, n: int, c: int) -> bool:
-    """Whether :func:`top_eigenpairs` of d-by-n data at rank c reads the
-    n-by-n Gram (wide data, ``c < n < d``) instead of the d-by-d scatter."""
+    """Whether :func:`top_eigenpairs` and the alternating fit of d-by-n data
+    at rank c work on the n-by-n Gram (wide data, ``c < n < d``) instead of
+    the d-by-d scatter."""
     return c < n < d
 
 
-def top_eigenpairs(A: np.ndarray, c: int, weights, *, gram: np.ndarray | None = None,
-                   start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarray]:
     """Leading eigenpairs of a weighted scatter, under a fixed gauge.
 
     ``A`` is a d-by-n matrix (the solvers pass centred data) and ``weights``
     holds n nonnegative weights; the eigenpairs are those of the scatter
     ``(A * weights) @ A.T``.  Returns ``(eigenvalues, eigenvectors)`` with
     the c largest eigenvalues in descending order and eigenvectors as the
-    columns of a d-by-c orthonormal matrix.
+    columns of a d-by-c orthonormal matrix.  Every array argument is checked
+    by :func:`real_array`; NaN/Inf in ``A`` is left to the finiteness checks
+    of the Gram and the scatter.
 
     When ``c < n < d`` the scatter shares its nonzero eigenvalues with the
     n-by-n weighted Gram ``G = diag(s) A.T A diag(s)``, ``s = sqrt(weights)``.
-    The top c+1 eigenpairs ``(lambda, v)`` of ``G`` come from a subset
-    ``eigh``, and the eigenvectors are ``A @ (s * v) / sqrt(lambda)``, at
-    O(d n^2 + n^3) instead of the O(d^3) full ``eigh``.  That result is kept
-    only when ``G`` is finite, the gap between the c-th and (c+1)-th
-    eigenvalue is above rounding (an exact tie, or c above the rank of the
-    data, lets the two routes pick different equally valid subspaces).
-
-    ``start``, optional, is the c-by-n block ``W.T @ A`` of the data's
-    coordinates in an approximate basis ``W`` of the top eigenvectors, such
-    as the previous basis of an alternating fit.  Given it, the Gram route
-    finds the eigenpairs of ``G`` by block subspace iteration from
-    ``start * s`` (see ``_subspace_iteration``), at O(n^2 c) per step against
-    the subset ``eigh``'s O(n^3).  When ``start`` is None, or the iteration
-    does not converge within its budget of 30 steps (about the time of one
-    subset ``eigh`` at n = 300; it gives up sooner when its rate of
-    convergence shows it would not), the subset ``eigh`` runs as above.  The
-    scatter route ignores ``start``.
-
-    On either path the mapped basis drifts from orthogonality like
+    Its top c+1 eigenpairs ``(lambda, v)`` come from a subset ``eigh``, and
+    the eigenvectors are ``A @ (s * v) / sqrt(lambda)``, at O(d n^2 + n^3)
+    instead of the O(d^3) full ``eigh`` (see :func:`_gram_eigenpairs`).  That
+    result is kept only when ``G`` is finite and the gap between the c-th
+    and (c+1)-th eigenvalue is above rounding (an exact tie, or c above the
+    rank of the data, lets the two routes pick different equally valid
+    subspaces).  The mapped basis drifts from orthogonality like
     ``eps * lambda_1 / lambda_c`` while its span stays as accurate as the
     Gram's eigenvectors, so a basis that is not orthonormal to 1e-12 is
     replaced by one Rayleigh-Ritz step on its span (a QR, then an ``eigh`` of
     the c-by-c projected Gram), which is orthonormal by construction.
-    Without a finite Gram and a gap at the boundary, and for tall or square
-    data, the scatter is built and decomposed by a full ``eigh``.  The
-    scatter is ``A @ A.T`` for unit weights and ``(A * weights) @ A.T``
-    otherwise.
-
-    ``gram``, optional, is ``A.T @ A`` and saves that O(d n^2) product (the
-    alternating fit forms it once per fit and updates it as its mean moves);
-    it is only read, and the scatter route ignores it.  Every array argument
-    is checked by :func:`real_array`; NaN/Inf in ``A`` or ``gram`` is left to
-    the finiteness checks of the Gram and the scatter.
+    Otherwise, and for tall or square data, the scatter is built and
+    decomposed by a full ``eigh``.  The scatter is ``A @ A.T`` for unit
+    weights and ``(A * weights) @ A.T`` otherwise.
 
     The gauge convention makes the output reproducible:
 
@@ -255,41 +239,74 @@ def top_eigenpairs(A: np.ndarray, c: int, weights, *, gram: np.ndarray | None = 
         raise DimensionError(f"weights shape {w.shape} != ({n},)")
     if np.any(w < 0):
         raise ValidationError("weights must be nonnegative")
-    if gram is not None:
-        gram = real_array(gram, "gram", 2, finite=False)
-        if gram.shape != (n, n):
-            raise DimensionError(f"gram shape {gram.shape} != ({n}, {n})")
-    if start is not None:
-        start = real_array(start, "start", 2)
-        if start.shape != (c, n):
-            raise DimensionError(f"start shape {start.shape} != ({c}, {n})")
 
     if gram_route(d, n, c):
-        # A non-finite Gram or a tie at the boundary falls through to the
-        # scatter, whose finiteness check reports an overflow.  numpy forms
-        # A.T @ A by a symmetric rank-k update.
-        s = np.sqrt(w)
-        G = np.multiply(A.T @ A if gram is None else gram, s)
-        G *= s[:, None]
-        if np.all(np.isfinite(G)):
-            pairs = None if start is None else _subspace_iteration(G, s * start, c)
-            if pairs is None:
-                # G.T is the Fortran-ordered view that LAPACK overwrites
-                # without a copy; it equals G up to the last bit of the scaling.
-                evals, V = scipy.linalg.eigh(G.T, subset_by_index=[n - c - 1, n - 1],
-                                             overwrite_a=True, check_finite=False)
-                pairs = evals[::-1], V[:, ::-1]
-            evals, V = pairs
-            if evals[c - 1] - evals[c] > d * _EPS * evals[0]:
-                U = (A @ (s[:, None] * V[:, :c])) / np.sqrt(evals[:c])
-                evals = evals[:c]
-                if not np.max(np.abs(U.T @ U - np.eye(c))) <= 1e-12:
-                    evals, U = _rayleigh_ritz(A, s, U)
-                return _apply_gauge(evals, U)
-    # numpy forms A @ A.T by a symmetric rank-k update, at half the cost
-    # of the general product.
+        # numpy forms A.T @ A by a symmetric rank-k update.
+        pairs, _ = _gram_eigenpairs(A.T @ A, c, w, d)
+        if pairs is not None:
+            return _mapped_basis(A, *pairs, np.sqrt(w))
+    # A non-finite Gram or a tie at the boundary falls through to the
+    # scatter, whose finiteness check reports an overflow.  numpy forms
+    # A @ A.T by a symmetric rank-k update, at half the cost of the general
+    # product.
     S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T
     return _dense_top_eigenpairs(S, c)
+
+
+def _gram_eigenpairs(gram, c, weights, d, start=None):
+    """Top-c eigenpairs of the weighted scatter of d-by-n data ``A``, read
+    from its Gram ``gram = A.T @ A`` (only read): ``(pairs, gave_up)``.
+
+    ``pairs`` is ``(lambda, Y)``: the c largest eigenvalues, descending, and
+    the n-by-c block ``Y = s * v`` with ``s = sqrt(weights)`` and ``v`` the
+    eigenvectors of ``G = diag(s) gram diag(s)``, so that the scatter's
+    eigenvectors are ``A @ Y / sqrt(lambda)``.  ``pairs`` is None when ``G``
+    is not finite or has no gap above rounding between its c-th and
+    (c+1)-th eigenvalues.
+
+    ``start``, optional, is the c-by-n block ``W.T @ A`` of the data's
+    coordinates in an approximate basis ``W`` (the alternating fit passes
+    its previous basis).  Given it, the eigenpairs come from block subspace
+    iteration from ``start * s`` at O(n^2 c) per step (see
+    ``_subspace_iteration``).  Without one, or when the iteration does not
+    converge within its budget of 30 steps (about the time of one subset
+    ``eigh`` at n = 300; it gives up sooner when its rate of convergence
+    shows it would not, and ``gave_up`` is then True), they come from a
+    subset ``eigh`` at O(n^3).
+    """
+    s = np.sqrt(weights)
+    G = np.multiply(gram, s)
+    G *= s[:, None]
+    if not np.all(np.isfinite(G)):
+        return None, False
+    pairs = None if start is None else _subspace_iteration(G, s * start, c)
+    gave_up = start is not None and pairs is None
+    if pairs is None:
+        # G.T is the Fortran-ordered view that LAPACK overwrites without a
+        # copy; it equals G up to the last bit of the scaling.
+        n = G.shape[0]
+        evals, V = scipy.linalg.eigh(G.T, subset_by_index=[n - c - 1, n - 1],
+                                     overwrite_a=True, check_finite=False)
+        pairs = evals[::-1], V[:, ::-1]
+    evals, V = pairs
+    if not evals[c - 1] - evals[c] > d * _EPS * evals[0]:
+        return None, gave_up
+    return (evals[:c], s[:, None] * V[:, :c]), gave_up
+
+
+def _mapped_basis(A, evals, Y, s):
+    """The gauged scatter eigenpairs ``A @ Y / sqrt(evals)`` of
+    :func:`_gram_eigenpairs`, with one Rayleigh-Ritz step when the mapped
+    basis is not orthonormal to 1e-12."""
+    U = (A @ Y) / np.sqrt(evals)
+    if not _orthonormal(U.T @ U):
+        evals, U = _rayleigh_ritz(A, s, U)
+    return _apply_gauge(evals, U)
+
+
+def _orthonormal(gram):
+    """Whether a basis with the c-by-c Gram ``gram`` is orthonormal to 1e-12."""
+    return np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
 
 
 def _subspace_iteration(G, B, c):

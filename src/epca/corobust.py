@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EPS, real_array
+from .core import _EPS, as_count, real_array
 from .errors import DimensionError, InvariantError, ValidationError
 
 # Largest double strictly below 1; stored weights are clamped here so the
@@ -62,15 +62,13 @@ class WeightVector:
             raise InvariantError("weights must lie in [0, 1)")
         if abs(w.sum() - 1.0) > 1e-12 * w.size:
             raise InvariantError(f"weights sum to {w.sum()!r}, expected 1")
-        if int(np.count_nonzero(w > 0)) != int(self.active_count):
-            raise InvariantError(
-                f"{np.count_nonzero(w > 0)} positive weights but "
-                f"active_count={self.active_count}"
-            )
+        k = as_count(self.active_count, "active_count")
+        if np.count_nonzero(w > 0) != k:
+            raise InvariantError(f"{np.count_nonzero(w > 0)} positive weights but active_count={k}")
         comp = real_array(self.complements, "complements", 1)
         if comp.shape != w.shape:
             raise DimensionError("complements shape must match weights")
-        self.weights, self.complements = w, comp
+        self.weights, self.active_count, self.complements = w, k, comp
 
 
 def solve_weights(losses) -> WeightVector:

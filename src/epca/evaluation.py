@@ -73,17 +73,19 @@ class LabelVector:
 
 
 def _whole_numbers(values, name):
-    """``values`` as an int array; the one rule for class ids.  A float entry
-    must be a whole number below 2**53 in magnitude: every such number is
-    exact in a float, and none overflows the int cast."""
+    """``values`` as an int array; the one rule for class ids.  Every entry,
+    of integer or float type, must be a whole number below 2**53 in
+    magnitude: every such number is exact in a float, and none overflows the
+    int cast."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "f":
-        bad = arr[~((np.abs(arr) < 2**53) & (arr == np.round(arr)))]
-        if bad.size:
-            raise ValidationError(f"{name} must be whole numbers, got {bad[0]} "
-                                  "(a float id must lie below 2**53 in magnitude)")
-    elif arr.dtype.kind not in "biu":
+    if arr.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must be whole numbers, got {arr.dtype} entries")
+    # The float copy is exact below 2**53, and at or above it either way.
+    flt = arr.astype(float, copy=False)
+    bad = arr[~((np.abs(flt) < 2**53) & (flt == np.round(flt)))]
+    if bad.size:
+        raise ValidationError(f"{name} must be whole numbers, got {bad[0]} "
+                              "(an id must lie below 2**53 in magnitude)")
     return arr.astype(int, copy=False)
 
 

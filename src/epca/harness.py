@@ -119,12 +119,23 @@ def _parse_cell(cell, row_num, col_num):
         ) from None
 
 
-def _parse_label(cell, row_num):
+def _parse_labels(rows):
+    """The label cells of ``(row_number, cell)`` rows as whole numbers.
+
+    The class-id rule runs once on the whole column; only when it fails are
+    the cells walked, so that the ``IngestionError`` names the first bad row.
+    """
     try:
-        return int(_whole_numbers(float(cell), "label"))
+        return _whole_numbers(np.array([float(cell) for _, cell in rows]), "labels")
     except (ValueError, ValidationError):
-        pass
-    raise IngestionError(f"row {row_num}: could not parse label {cell!r} as an integer")
+        for row_num, cell in rows:
+            try:
+                _whole_numbers(float(cell), "label")
+            except (ValueError, ValidationError):
+                raise IngestionError(
+                    f"row {row_num}: could not parse label {cell!r} as an integer"
+                ) from None
+        raise
 
 
 def _csv_rows(path):
@@ -171,7 +182,7 @@ def ingest_csv(path, labels_path=None):
 
     labels = None
     if labels_path is not None:
-        raw = [_parse_label(row[0].strip(), row_num) for row_num, row in _csv_rows(labels_path)]
+        raw = _parse_labels([(row_num, row[0].strip()) for row_num, row in _csv_rows(labels_path)])
         if len(raw) != X.sample_count:
             raise IngestionError(
                 f"label count {len(raw)} != sample count {X.sample_count}"

@@ -16,6 +16,13 @@ W as the top eigenvectors of the eta-weighted scatter, and finally alpha from
 the per-sample losses of the refreshed residuals.  Each step minimizes the
 (surrogate of the) objective in its own block, so the recorded objective
 trace is non-increasing.
+
+On tall data every basis step works on the d-by-n data.  On wide data
+(c < n < d) the loop carries only n-space state between steps: the mean as
+the weights eta / sum(eta), the centred n-by-n Gram, the basis as an n-by-c
+coefficient block on the centred data, and the coordinates and residual
+norms read from the Gram.  The basis is mapped to d-space once, at the end
+(see ``_GramSteps``).
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataMatrix, as_count, check_rank, check_tol, gram_route, real_array, top_eigenpairs
+from .core import (DataMatrix, _gram_eigenpairs, _mapped_basis, _orthonormal, as_count,
+                   check_rank, check_tol, gram_route, real_array, top_eigenpairs)
 from .corobust import WeightVector, solve_weights
 from .errors import DimensionError, ValidationError
 from .sigmaloss import SigmaLossParams, coefficient_kernel, descent_converged, loss_kernel
@@ -106,47 +114,18 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     comp = np.full(n, (n - 1.0) / n) if learn_alpha else np.ones(n)
     alpha_wv = None
 
-    # The loop's d-by-n intermediates live in two work arrays: Xc holds the
-    # centred data, T the weighted data and then the residual.
-    m = X.mean(axis=1)
-    Xc = X - m[:, None]
-    T = np.empty_like(X)
-    # On the wide route the centred Gram comes from K = Xc.T @ Xc at the
-    # initial mean.  Every later mean lies at Xc @ eta / sum(eta) from it,
-    # so its Gram is K - a 1' - 1 a' + (a'eta / sum(eta)) 1 1' with
-    # a = K @ eta / sum(eta).  As eta > 0, these are convex combinations of
-    # entries of K and round like a fresh Gram.
-    K = Xc.T @ Xc if gram_route(d, n, c) else None
-    _, W = top_eigenpairs(Xc, c, np.ones(n), gram=K)
-    V = W.T @ Xc
-    rn = _residual_norms(Xc, W, V, T)
-
+    steps = (_GramSteps if gram_route(d, n, c) else _ScatterSteps)(X, c)
+    rn = steps.rn
     trace = [float(np.sum(loss_kernel(rn, sigma) / comp))]
     # Rounding moves each residual by a multiple of eps * (|x_i - m| + |m|),
     # so the guard's noise floor is eps times the objective of those norms.
     # The columns of Xc have norms hypot(rn, |v|) because W is orthonormal.
-    data_norms = np.hypot(rn, np.linalg.norm(V, axis=0)) + np.linalg.norm(m)
+    data_norms = np.hypot(rn, np.linalg.norm(steps.V, axis=0)) + np.linalg.norm(steps.m)
     scale = float(np.sum(loss_kernel(data_norms, sigma) / comp))
     ks = []
-    G = start = None
 
     for _ in range(max_iter):
-        eta = coefficient_kernel(rn, sigma) / comp
-        total = eta.sum()
-        np.multiply(X, eta, out=T)
-        m_prev, m = m, T.sum(axis=1) / total
-        np.subtract(X, m[:, None], out=Xc)
-        if K is not None:
-            a = K @ eta / total
-            G = K - a
-            G -= a[:, None]
-            G += a @ eta / total
-            # The previous basis, in the coordinates of the new centring,
-            # starts the Gram route's subspace iteration.
-            start = V - (W.T @ (m - m_prev))[:, None]
-        _, W = top_eigenpairs(Xc, c, eta, gram=G, start=start)
-        V = W.T @ Xc
-        rn = _residual_norms(Xc, W, V, T)
+        rn = steps.step(coefficient_kernel(rn, sigma) / comp)
         losses = loss_kernel(rn, sigma)
 
         if learn_alpha:
@@ -162,11 +141,156 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         stop_reason = "max_iter"
 
     return EpcaFitState(
-        model=SubspaceModel(W, m, V, np.array(trace)),
+        model=SubspaceModel(*steps.model(), np.array(trace)),
         alpha=alpha_wv,
         active_count_trace=np.array(ks, dtype=int),
         stop_reason=stop_reason,
     )
+
+
+class _ScatterSteps:
+    """The basis steps in d-space, the route of tall data.
+
+    Each step moves the mean to ``X @ eta / sum(eta)``, centres the data,
+    and takes the basis ``W`` from :func:`top_eigenpairs` of the
+    eta-weighted scatter, the coordinates ``V = W.T @ Xc`` and the residual
+    norms ``rn``.  The first step uses the sample mean and unit weights.
+    """
+
+    def __init__(self, X, c):
+        self.X, self.c = X, c
+        # The d-by-n intermediates live in two work arrays: Xc holds the
+        # centred data, T the weighted data and then the residual.
+        self.Xc, self.T = np.empty_like(X), np.empty_like(X)
+        self._scatter_step(X.mean(axis=1), np.ones(X.shape[1]))
+
+    def _scatter_step(self, m, eta):
+        np.subtract(self.X, m[:, None], out=self.Xc)
+        _, self.W = self._basis(eta)
+        self.m, self.V = m, self.W.T @ self.Xc
+        self.rn = _residual_norms(self.Xc, self.W, self.V, self.T)
+
+    def _basis(self, eta):
+        return top_eigenpairs(self.Xc, self.c, eta)
+
+    def step(self, eta):
+        """One basis step at the coefficients ``eta``; returns the residual norms."""
+        np.multiply(self.X, eta, out=self.T)
+        self._scatter_step(self.T.sum(axis=1) / eta.sum(), eta)
+        return self.rn
+
+    def model(self):
+        """``(W, m, V)`` of the last step."""
+        return self.W, self.m, self.V
+
+
+class _GramSteps(_ScatterSteps):
+    """The basis steps of wide data (``gram_route``), carried in n-space.
+
+    The fit forms ``K = X0.T @ X0`` once, with ``X0`` the data centred at
+    the sample mean.  A step's mean is ``X @ beta`` with ``beta = eta /
+    sum(eta)``; as ``sum(beta) = 1`` its centred data are ``Xc = X0 (I -
+    beta 1')``, whose Gram is ``G = K - a 1' - 1 a' + (a'beta) 1 1'`` with
+    ``a = K beta``.  :func:`_gram_eigenpairs` gives the basis as ``W = Xc
+    B`` for an n-by-c block ``B``, the coordinates are ``V = W.T Xc = B'G``,
+    the orthonormality test ``W'W = V B`` is c-by-c, the squared residual
+    norms are ``diag(G) - |v_i|^2``, and the previous basis's coordinates
+    at the new mean, the start of the warm eigensolve, are ``V - (V beta)
+    1'``.  Only the last step maps ``B`` to d-space, in :meth:`model`.
+
+    Two guards keep the accuracy of a Gram formed afresh.  Column i of the
+    update carries a rounding error of about eps times ``b_i = K_ii +
+    2|a_i| + |a'beta|``; when some ``b_i`` exceeds ``_REANCHOR`` times
+    ``G_ii`` (the mean has moved close to that sample), ``K`` is formed
+    again at the current mean.  And ``diag(G) - |v_i|^2`` inherits that
+    absolute error, so a squared residual below ``_DIRECT`` times ``b_i``
+    is computed from its d-space column instead.  An exact fit then stays
+    exact (the n-space form would leave residuals of ``sqrt(eps b_i)``),
+    and a slowly converging one as close to the dense fit as d-space
+    residuals keep it.  A step whose Gram is not finite or has no gap at c
+    runs the d-space step of :class:`_ScatterSteps`; one whose basis is not
+    orthonormal maps its eigenpairs in d-space, with the Rayleigh-Ritz
+    repair of :func:`top_eigenpairs`.
+    """
+
+    def __init__(self, X, c):
+        self.X, self.c = X, c
+        self.Xc, self.T = np.empty_like(X), np.empty_like(X)
+        self.m = X.mean(axis=1)
+        X0 = X - self.m[:, None]
+        self.K = X0.T @ X0
+        # The warm eigensolve is dropped for the rest of the fit once it
+        # gives up: the gap at c stays as narrow from step to step.
+        self.warm = True
+        self.beta = None
+        eta = np.ones(X.shape[1])
+        if not self._gram_step(self.K, self.K.diagonal(), eta, None):
+            self._scatter_step(self.m, eta)
+
+    def _centred(self):
+        """The data centred at the current mean, in the work array ``Xc``."""
+        m = self.m if self.beta is None else self.X @ self.beta
+        return np.subtract(self.X, m[:, None], out=self.Xc), m
+
+    def step(self, eta):
+        self.beta = beta = eta / eta.sum()
+        K = self.K
+        a = K @ beta
+        ab = a @ beta
+        bound = K.diagonal() + 2.0 * np.abs(a) + abs(ab)
+        if np.any(bound > _REANCHOR * (K.diagonal() - 2.0 * a + ab)):
+            Xc, _ = self._centred()
+            self.K = G = Xc.T @ Xc
+            bound = G.diagonal()
+        else:
+            G = K - a
+            G -= a[:, None]
+            G += ab
+        start = self.V - (self.V @ beta)[:, None] if self.warm else None
+        if not self._gram_step(G, bound, eta, start):
+            self._scatter_step(self.X @ beta, eta)
+        return self.rn
+
+    def _gram_step(self, G, bound, eta, start):
+        """The step on the centred Gram ``G``; False when it needs d-space."""
+        pairs, gave_up = _gram_eigenpairs(G, self.c, eta, self.X.shape[0], start)
+        self.warm = self.warm and not gave_up
+        self.pairs, self.eta, self.in_gram = pairs, eta, False
+        if pairs is None:
+            return False
+        evals, Y = pairs
+        B = Y / np.sqrt(evals)
+        V = B.T @ G
+        if not _orthonormal(V @ B):
+            return False
+        r2 = G.diagonal() - np.einsum("ij,ij->j", V, V)
+        direct = r2 < _DIRECT * bound
+        if np.any(direct):
+            Xc, _ = self._centred()
+            W = Xc @ B
+            cols = Xc[:, direct]
+            cols -= W @ (W.T @ cols)
+            r2[direct] = np.einsum("ij,ij->j", cols, cols)
+        self.V, self.rn, self.in_gram = V, np.sqrt(r2), True
+        return True
+
+    def _basis(self, eta):
+        # A d-space step maps the Gram step's eigenpairs when it found any.
+        if self.pairs is None:
+            return super()._basis(eta)
+        return _mapped_basis(self.Xc, *self.pairs, np.sqrt(eta))
+
+    def model(self):
+        if not self.in_gram:
+            return super().model()
+        Xc, m = self._centred()
+        _, W = _mapped_basis(Xc, *self.pairs, np.sqrt(self.eta))
+        return W, m, W.T @ Xc
+
+
+# _GramSteps' re-anchoring and direct-residual thresholds.
+_REANCHOR = 16.0
+_DIRECT = 1e-3
 
 
 def _residual_norms(Xc, W, V, out):

@@ -3,7 +3,8 @@
 Everything here is deliberately implemented from first principles (no reuse
 of package internals): a projected-gradient minimizer over the simplex, a
 brute-force activation-count scan, subspace comparison via principal angles,
-and a point-by-point k-means++/Lloyd run.
+and a point-by-point k-means++/Lloyd run.  ``sweep_problem`` draws the
+seeded wide problems of the outlier sweep that several fit tests revisit.
 """
 
 import math
@@ -161,3 +162,22 @@ def gauge_oracle(evals, evecs):
             evecs[:, start:stop] = np.array(block).T
         start = stop
     return evals, evecs
+
+
+def sweep_problem(seed):
+    """Problem ``seed`` of the outlier sweep (seeds 0-199): ``(X, c)``.
+
+    A rank-c plane in d in [60, 400) features, n in [20, 80) samples and
+    c in [1, 6), around one offset drawn from U(-50, 50), with coordinates
+    3 N(0, 1) and noise 0.05 N(0, 1).  The first k columns, k in
+    [1, max(2, n // 5)), get gross outliers 10**U(0, 3) N(0, 1).  Almost
+    every problem is wide (c < n < d); on some the fitted weights or
+    coefficients pin one sample, which strains the basis step.
+    """
+    gen = np.random.default_rng(seed)
+    d, n, c = int(gen.integers(60, 400)), int(gen.integers(20, 80)), int(gen.integers(1, 6))
+    X = (gen.uniform(-50, 50) + np.linalg.qr(gen.standard_normal((d, c)))[0]
+         @ (3.0 * gen.standard_normal((c, n))) + 0.05 * gen.standard_normal((d, n)))
+    k = int(gen.integers(1, max(2, n // 5)))
+    X[:, :k] += 10 ** gen.uniform(0, 3) * gen.standard_normal((d, k))
+    return X, c

@@ -41,8 +41,7 @@ def _entry_points():
     A = rng.standard_normal((6, 3))
     X = DataMatrix(np.ones((3, 4)))
     model = SubspaceModel(np.eye(4)[:, :2], np.zeros(4), np.zeros((2, 3)))
-    eig = {"A": A, "c": 2, "weights": np.ones(3), "gram": A.T @ A,
-           "start": rng.standard_normal((2, 3))}
+    eig = {"A": A, "c": 2, "weights": np.ones(3)}
     recon = {"X_clean": X, "X_occ": X, "basis": np.eye(3)[:, :1], "translation": np.zeros(3)}
     fields = {"basis": np.eye(4)[:, :2], "translation": np.zeros(4),
               "coordinates": np.zeros((2, 3)), "objective_trace": np.array([2.0, 1.0])}
@@ -53,7 +52,7 @@ def _entry_points():
     saved = {"basis": np.eye(4)[:, :2], "translation": np.zeros(4)}
     return (
         [("DataMatrix", DataMatrix, {"values": np.ones((3, 4))}, "values")]
-        + [("top_eigenpairs", top_eigenpairs, eig, name) for name in ("A", "weights", "gram", "start")]
+        + [("top_eigenpairs", top_eigenpairs, eig, name) for name in ("A", "weights")]
         + [("solve_weights", solve_weights, {"losses": np.array([1.0, 2.0, 3.0])}, "losses")]
         + [("reconstruction_error", reconstruction_error, recon, name)
            for name in ("basis", "translation")]

@@ -195,6 +195,15 @@ class TestWeightVectorInvariants:
         with pytest.raises(InvariantError):
             self._weights([0.5, 0.5, 0.0], 3)
 
+    @pytest.mark.parametrize("count", [2.7, 2.0, "2", 0])
+    def test_active_count_must_be_a_count(self, count):
+        with pytest.raises(ValidationError, match="active_count"):
+            WeightVector(np.array([0.5, 0.5]), count, 0.25, np.array([0.5, 0.5]))
+
+    def test_active_count_is_stored_as_an_int(self):
+        weights = WeightVector(np.array([0.5, 0.5]), np.int64(2), 0.25, np.array([0.5, 0.5]))
+        assert type(weights.active_count) is int and weights.active_count == 2
+
     def test_rejects_non_finite_complements(self):
         with pytest.raises(ValidationError, match="complements entries must be finite"):
             WeightVector(np.array([0.5, 0.5, 0.0]), 2, 1.0, np.array([0.5, np.nan, 1.0]))

@@ -357,6 +357,16 @@ class TestLabelVector:
         with pytest.raises(ValidationError, match="whole numbers"):
             LabelVector.from_raw([1e20, 2e20, 0.0])
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_integer_labels_must_lie_below_2_53(self, dtype):
+        # Unsigned ids of 2**63 or more used to wrap to negative ints.
+        assert LabelVector.from_raw(np.array([2**53 - 1, 5, 0], dtype=dtype)).class_count == 3
+        big = 2**63 if dtype is np.uint64 else -(2**63)
+        with pytest.raises(ValidationError, match=r"below 2\*\*53"):
+            LabelVector.from_raw(np.array([big, 5, 0], dtype=dtype))
+        with pytest.raises(ValidationError, match=r"below 2\*\*53"):
+            LabelVector(np.array([2**53, 0], dtype=dtype), 2)
+
     @pytest.mark.parametrize("count", [0, -1, 2.0, "2"])
     def test_class_count_must_be_a_positive_integer(self, count):
         with pytest.raises(ValidationError, match="class_count"):

@@ -176,6 +176,16 @@ class TestIngestCsv:
                 ingest_csv(data, labels)
 
 
+    def test_bad_label_message_names_the_first_bad_row(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1,2,3,4\n5,6,7,8\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("label\n0\n1\n2.5\nxx\n")
+        with pytest.raises(IngestionError) as err:
+            ingest_csv(data, labels)
+        assert str(err.value) == "row 4: could not parse label '2.5' as an integer"
+
+
 class TestExperimentConfig:
     def test_methods_must_be_known(self):
         with pytest.raises(ValidationError, match="unknown methods"):

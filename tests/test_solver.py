@@ -35,7 +35,7 @@ import epca.core
 import epca.solver
 from epca.sigmaloss import loss_kernel
 
-from oracles import largest_principal_angle
+from oracles import largest_principal_angle, sweep_problem
 
 
 def _affine_rank_c(rng, d=12, n=60, c=3, scale=2.0):
@@ -80,6 +80,21 @@ class TestFit:
         X, _ = _affine_rank_c(rng)
         for sigma in (1e-8, 1.0, 1e8):
             state = epca_fit(X, 3, SigmaLossParams(sigma))
+            assert state.objective_trace[-1] <= 1e-16 * np.linalg.norm(X.values) ** 2
+            round_trip = reconstruct(state.model, transform(state.model, X))
+            np.testing.assert_allclose(round_trip, X.values, atol=1e-8)
+
+    @pytest.mark.parametrize("c", [3, 5], ids=["c-at-rank", "c-above-rank"])
+    def test_exact_wide_data_is_fit_perfectly(self, c):
+        # On wide data the residual norms come from the Gram, where they
+        # cancel to about sqrt(eps) |x_i|; the small ones are computed from
+        # the data instead, so the fit stays exact.  Above the rank of the
+        # data the Gram has no gap at c, and every basis step runs in
+        # d-space.
+        rng = np.random.default_rng(901)
+        X, _ = _affine_rank_c(rng, d=80, n=30)
+        for sigma in (1e-8, 1.0, 1e8):
+            state = epca_fit(X, c, SigmaLossParams(sigma))
             assert state.objective_trace[-1] <= 1e-16 * np.linalg.norm(X.values) ** 2
             round_trip = reconstruct(state.model, transform(state.model, X))
             np.testing.assert_allclose(round_trip, X.values, atol=1e-8)
@@ -182,6 +197,12 @@ class TestFit:
         X[2, 3] = np.nan
         with pytest.raises(ValidationError):
             epca_fit(X, 2, SigmaLossParams(1.0))
+
+    def test_wide_data_whose_gram_overflows_names_the_cause(self):
+        X = 1e160 * np.random.default_rng(3).standard_normal((40, 12))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="matrix entries must be finite"):
+                epca_fit(X, 3, SigmaLossParams(1.0))
 
 
 _RANK_ENTRY_POINTS = {
@@ -290,10 +311,10 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     gen = np.random.default_rng(18)
     calls = []
 
-    def sabotaged(A, c, weights, *, gram=None, start=None):
+    def sabotaged(A, c, weights):
         calls.append(c)
         if len(calls) == 1:  # the initial classical-PCA basis
-            return epca.core.top_eigenpairs(A, c, weights, gram=gram, start=start)
+            return epca.core.top_eigenpairs(A, c, weights)
         return None, np.linalg.qr(gen.standard_normal((A.shape[0], c)))[0]
 
     monkeypatch.setattr(epca.solver, "top_eigenpairs", sabotaged)
@@ -302,10 +323,15 @@ def test_sabotaged_basis_step_trips_the_descent_guard(monkeypatch):
     assert len(calls) == 2
 
 
-def _dense_top_eigenpairs(A, c, weights, *, gram=None, start=None):
-    """The weighted form computed through the d-by-d scatter only; the
-    solver's Gram and start block are ignored."""
+def _dense_top_eigenpairs(A, c, weights):
+    """The weighted form computed through the d-by-d scatter only."""
     return epca.core._dense_top_eigenpairs((A * weights) @ A.T, c)
+
+
+def _use_the_dense_route(m):
+    """Run every basis step of a fit in d-space through the dense eigensolve."""
+    m.setattr(epca.solver, "gram_route", lambda d, n, c: False)
+    m.setattr(epca.solver, "top_eigenpairs", _dense_top_eigenpairs)
 
 
 @pytest.mark.parametrize("fit", [
@@ -318,7 +344,7 @@ def test_wide_data_gram_route_matches_the_dense_eigensolve(fit, monkeypatch):
     X = _noisy_low_rank(rng, d=d, n=n, c=3).values
     X[:, :4] += 5.0 * rng.standard_normal((d, 4))
     routed = fit(X)
-    monkeypatch.setattr(epca.solver, "top_eigenpairs", _dense_top_eigenpairs)
+    _use_the_dense_route(monkeypatch)
     dense = fit(X)
     assert len(routed.objective_trace) == len(dense.objective_trace) > 2
     np.testing.assert_allclose(routed.objective_trace, dense.objective_trace, rtol=1e-9)
@@ -337,7 +363,7 @@ def _gram_and_dense_fits(X, c, monkeypatch):
         m.setattr(epca.core, "_dense_top_eigenpairs", refuse)
         routed = epca_fit(X, c, SigmaLossParams(1.0))
     with monkeypatch.context() as m:
-        m.setattr(epca.solver, "top_eigenpairs", _dense_top_eigenpairs)
+        _use_the_dense_route(m)
         dense = epca_fit(X, c, SigmaLossParams(1.0))
     return routed, dense
 
@@ -359,6 +385,38 @@ def test_gram_route_fit_with_outlier_columns_matches_the_dense_fit(monkeypatch):
     np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
     W, W_dense = routed.model.basis, dense.model.basis
     assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [31, 43, 113])
+def test_fits_that_pin_a_sample_match_the_dense_fit(seed, monkeypatch):
+    # The weights come to pin one sample (its 1 - alpha_i falls below
+    # 1e-10), so the mean moves onto it and its centred Gram entry falls far
+    # below the rounding error of an update from the Gram formed at the
+    # sample mean; the Gram is formed again at the current mean.
+    X, c = sweep_problem(seed)
+    routed, dense = _gram_and_dense_fits(X, c, monkeypatch)
+    assert routed.iterations == dense.iterations > 10
+    assert np.min(routed.alpha.complements) < 1e-10
+    np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
+    W, W_dense = routed.model.basis, dense.model.basis
+    assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-9
+    np.testing.assert_allclose(routed.objective_trace[-1], dense.objective_trace[-1], rtol=1e-12)
+
+
+def test_warm_eigensolve_is_dropped_once_it_gives_up(monkeypatch):
+    # Rank-10 data fitted at c = 5: the gap at c is narrow, the warm
+    # iteration from the previous basis gives up on the first basis step,
+    # and every later step goes straight to the subset eigh.
+    rng = np.random.default_rng(1)
+    B = np.linalg.qr(rng.standard_normal((200, 10)))[0]
+    X = 5.0 + B @ (3.0 * rng.standard_normal((10, 60))) + 0.05 * rng.standard_normal((200, 60))
+    X[:, :6] += rng.standard_normal((200, 6))
+    iteration, results = epca.core._subspace_iteration, []
+    monkeypatch.setattr(epca.core, "_subspace_iteration",
+                        lambda *args: results.append(iteration(*args)) or results[-1])
+    state = epca_fit(X, 5, SigmaLossParams(1.0))
+    assert state.iterations > 10
+    assert results == [None]
 
 
 def _planted_wide(seed, d=200, n=50, c=4, drag=0.0):

@@ -10,9 +10,10 @@ is repaired by one Rayleigh-Ritz step, and the route falls through to a full
 ``eigh`` of the d-by-d scatter on an overflow or an eigenvalue tie at the c
 boundary.  The Gram eigensolve itself, ``_gram_eigenpairs``, is shared with
 the alternating fit, which keeps its own Gram and passes a start block (its
-previous basis): the eigenpairs then come from block subspace iteration at
-O(n^2 c) per step, and from a subset ``eigh`` at O(n^3) without a start or
-when the iteration does not converge within its step budget."""
+previous basis): the eigenpairs then come from Chebyshev-filtered block
+subspace iteration at O(n^2 c) per product with the Gram, and from a subset
+``eigh`` at O(n^3) without a start or when the iteration gives up, which it
+does once it would cost more than that ``eigh``."""
 
 from __future__ import annotations
 
@@ -27,10 +28,15 @@ import scipy.linalg
 from .errors import DimensionError, ValidationError
 
 _EPS = np.finfo(float).eps
-# The warm-started Gram iteration: its step budget, the steps before its
-# rate of convergence is trusted, then its stopping tolerances relative to
-# lambda_1 and to the gap at the c boundary.
-_MAX_STEPS = 30
+# The warm-started Gram iteration: the degree of its Chebyshev filter, its
+# budget of products with the Gram, the Rayleigh-Ritz steps before its rate
+# of convergence is trusted, then its stopping tolerances relative to
+# lambda_1 and to the gap at the c boundary.  At n = 300 and c = 10 (one BLAS
+# thread) a Rayleigh-Ritz step with its two further products takes about
+# 0.29 ms and a subset eigh 5.0 ms, so the 15 steps (43 products) of the
+# budget cost about one subset eigh.
+_DEGREE = 3
+_MAX_PRODUCTS = 45
 _SETTLE_STEPS = 4
 _RES_TOL = 1e-14
 _GAP_TOL = 1e-13
@@ -266,13 +272,13 @@ def _gram_eigenpairs(gram, c, weights, d, start=None):
 
     ``start``, optional, is the c-by-n block ``W.T @ A`` of the data's
     coordinates in an approximate basis ``W`` (the alternating fit passes
-    its previous basis).  Given it, the eigenpairs come from block subspace
-    iteration from ``start * s`` at O(n^2 c) per step (see
-    ``_subspace_iteration``).  Without one, or when the iteration does not
-    converge within its budget of 30 steps (about the time of one subset
-    ``eigh`` at n = 300; it gives up sooner when its rate of convergence
-    shows it would not, and ``gave_up`` is then True), they come from a
-    subset ``eigh`` at O(n^3).
+    its previous basis).  Given it, the eigenpairs come from
+    Chebyshev-filtered block subspace iteration from ``start * s``, at
+    O(n^2 c) per product with ``G`` (see ``_subspace_iteration``).  Without
+    one, or when the iteration does not converge within its budget of 45
+    products (about the time of one subset ``eigh`` at n = 300; it gives up
+    sooner when its rate of convergence shows it would not, and ``gave_up``
+    is then True), they come from a subset ``eigh`` at O(n^3).
     """
     s = np.sqrt(weights)
     G = np.multiply(gram, s)
@@ -310,27 +316,39 @@ def _orthonormal(gram):
 
 
 def _subspace_iteration(G, B, c):
-    """Top c+1 eigenpairs of the n-by-n Gram ``G``, descending, by block
-    subspace iteration from the rows of the c-by-n block ``B``; None when it
-    does not converge within ``_MAX_STEPS`` steps.
+    """Top c+1 eigenpairs of the n-by-n Gram ``G``, descending, by
+    Chebyshev-filtered block subspace iteration from the rows of the c-by-n
+    block ``B``; None when it does not converge within ``_MAX_PRODUCTS``
+    products with ``G``.
 
     The block gets one fixed extra row, a data-independent vector, for the
-    (c+1)-th pair.  Each step multiplies the orthonormalised block by ``G``
-    and takes the Rayleigh-Ritz pairs of its span, at O(n^2 c).  It stops
-    when every residual ``|G q - theta q|`` of the top c is at the rounding
-    level of ``theta_1`` and far below the gap between ``theta_c`` and
-    ``theta_{c+1} + res_{c+1}``, the upper estimate of ``lambda_{c+1}`` that
-    is returned in place of ``theta_{c+1}``.
+    (c+1)-th pair.  Each Rayleigh-Ritz step multiplies the orthonormal block
+    ``Q`` by ``G`` and takes the Ritz pairs ``(theta, V)`` of its span.  It
+    stops when every residual ``|G v - theta v|`` of the top c is at the
+    rounding level of ``theta_1`` and far below the gap between ``theta_c``
+    and ``upper = theta_{c+1} + res_{c+1}``, the upper estimate of
+    ``lambda_{c+1}`` that is returned in place of ``theta_{c+1}``.
+    Otherwise the next ``Q`` is the QR of ``T_k(2 G / upper - I) V``, with
+    ``T_k`` the Chebyshev polynomial of degree k = ``_DEGREE`` (Zhou, Saad,
+    Tiago & Chelikowsky, J. Comput. Phys. 219, 2006): it keeps every
+    eigenvalue in ``[0, upper]`` below 1 in magnitude and lifts those above
+    like ``T_k(2 lambda / upper - 1)``, so the top c converge at the rate of
+    their gap to ``upper`` alone.  Its first degree is ``G V``, which the
+    Rayleigh-Ritz step has formed, so a step takes k products at O(n^2 c)
+    each and one QR; on the wide fit's Grams it needs about a third of the
+    Rayleigh-Ritz steps of the plain iteration ``Q = qr(G Q)``, whose fixed
+    costs (the QR, the small ``eigh``, the residuals) dominate its time.
     """
     n = G.shape[0]
+    steps = (_MAX_PRODUCTS - 1) // _DEGREE  # filtered steps after the first
     Q = np.linalg.qr(np.vstack([B, np.cos(np.arange(n) + 0.5)]).T)[0]
     r_prev = np.inf
-    for step in range(_MAX_STEPS):
+    for step in range(steps + 1):
         Y = G @ Q
         theta, Z = np.linalg.eigh(Q.T @ Y)
         theta, Z = theta[::-1], Z[:, ::-1]
-        V = Q @ Z
-        res = np.linalg.norm(Y @ Z - V * theta, axis=0)
+        V, X = Q @ Z, Y @ Z
+        res = np.linalg.norm(X - V * theta, axis=0)
         upper = theta[c] + res[c]
         r = np.max(res[:c])
         if r <= min(_RES_TOL * theta[0], _GAP_TOL * (theta[c - 1] - upper)):
@@ -340,13 +358,18 @@ def _subspace_iteration(G, B, c):
         # converges too slowly for the budget, and residuals at their
         # rounding floor stop falling: give up as soon as a step makes no
         # progress or, once the start block's transient has settled, when
-        # the last step's rate would not reach rounding level in the steps
-        # left.
+        # the last step's rate would not reach rounding level in the
+        # filtered steps left.
         if r >= r_prev or (step >= _SETTLE_STEPS and r * (r / r_prev) ** (
-                _MAX_STEPS - 1 - step) > _RES_TOL * theta[0]):
+                steps - step) > _RES_TOL * theta[0]):
             return None
         r_prev = r
-        Q = np.linalg.qr(Y)[0]
+        # T_k(G / half - I) V by the three-term recurrence, from X = G V.
+        half = max(upper, _EPS * theta[0]) / 2.0
+        X_prev, X = V, X / half - V
+        for _ in range(_DEGREE - 1):
+            X_prev, X = X, 2.0 * ((G @ X) / half - X) - X_prev
+        Q = np.linalg.qr(X)[0]
     return None
 
 

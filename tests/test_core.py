@@ -8,10 +8,13 @@ from epca import (
     DataMatrix,
     DimensionError,
     RngHandle,
+    SigmaLossParams,
     ValidationError,
+    epca_fit,
     top_eigenpairs,
 )
 import epca.core
+import epca.solver
 from epca.core import _apply_gauge, _dense_top_eigenpairs, _gram_eigenpairs
 from oracles import gauge_oracle
 
@@ -315,37 +318,39 @@ class TestTopEigenpairsWeighted:
         with pytest.raises(ValidationError):
             top_eigenpairs(A, 1, [1.0, np.nan, 1.0])
 
-    @pytest.mark.parametrize("spectrum, c, steps", [
-        ([10.0, 9.0, 8.0, 7.99, 7.98], 3, 6),
-        ([10.0, 9.0, 8.0, 7.99], 3, 10),
-        ([2.0] * 6, 2, 30),
+    @pytest.mark.parametrize("spectrum, c, steps, products", [
+        ([10.0, 9.0, 8.0, 7.99, 7.98], 3, 6, 16),
+        ([10.0, 9.0, 8.0, 7.99], 3, 10, 28),
+        ([2.0] * 6, 2, 30, 45),
     ], ids=["slow", "rounding-floor", "tie"])
     def test_start_that_does_not_converge_gives_the_cold_result(self, spectrum, c, steps,
-                                                                monkeypatch):
-        # slow: lambda_5 / lambda_3 = 0.995, far too slow for the step
-        # budget, which the rate shows once the start has settled.
-        # rounding-floor: the block of c+1 converges fast, but the gap at c
-        # (1.6e-3 of lambda_1) puts the tolerance below the residuals'
-        # rounding floor, where they stop falling.  tie: lambda_3 = lambda_2,
-        # so the gap estimate is never positive.  Each gives up within
-        # ``steps`` QRs and falls back to the subset eigh (the tie then has
-        # no gap, and no pairs).
+                                                                products, monkeypatch):
+        # slow: lambda_5 / lambda_3 = 0.995, far too slow for the budget,
+        # which the rate shows once the start has settled.  rounding-floor:
+        # the gap at c (1.6e-3 of lambda_1) puts the tolerance below the
+        # residuals' rounding floor; the filter damps lambda_4 with the
+        # tail, so the top c converge only at the rate of that gap, and the
+        # rate shows it too.  tie: lambda_3 = lambda_2, so the gap estimate
+        # is never positive.  Each gives up within ``steps`` QRs (one per
+        # Rayleigh-Ritz step) and ``products`` Gram products (1 + 3 per
+        # filtered step, at most the budget of 45) and falls back to the
+        # subset eigh (the tie then has no gap, and no pairs).
         rng = np.random.default_rng(13)
         U = np.linalg.qr(rng.standard_normal((40, 20)))[0]
         V = np.linalg.qr(rng.standard_normal((20, 20)))[0]
         A = (U * np.concatenate([spectrum, np.full(20 - len(spectrum), 0.5)])) @ V.T
         start = rng.standard_normal((c, 20))
         cold, cold_gave_up = _gram_eigenpairs(A.T @ A, c, np.ones(20), 40)
-        iteration, results, products = epca.core._subspace_iteration, [], []
-        monkeypatch.setattr(epca.core, "_subspace_iteration",
-                            lambda *args: results.append(iteration(*args)) or results[-1])
+        iteration, results, qrs, gram_products = epca.core._subspace_iteration, [], [], []
+        monkeypatch.setattr(epca.core, "_subspace_iteration", lambda G, B, c: results.append(
+            iteration(_counted(G, gram_products), B, c)) or results[-1])
         qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda *args: products.append(1) or qr(*args))
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: qrs.append(1) or qr(*args))
         warm, gave_up = _gram_eigenpairs(A.T @ A, c, np.ones(20), 40, start)
         assert (cold is None) == (warm is None) == (spectrum[c - 1] == spectrum[c])
         for got, ref in zip(warm or (), cold or ()):
             np.testing.assert_array_equal(got, ref)
-        assert results[0] is None and len(products) <= steps
+        assert results[0] is None and len(qrs) <= steps and len(gram_products) <= products
         assert gave_up and not cold_gave_up
 
     @pytest.mark.parametrize("layout", ["array", "read-only"])
@@ -360,3 +365,99 @@ class TestTopEigenpairsWeighted:
         for got_part, ref_part in zip(epca.core._mapped_basis(A, evals, Y, np.sqrt(w)),
                                       top_eigenpairs(A, 4, w)):
             np.testing.assert_array_equal(got_part, ref_part)
+
+
+class _CountedGram(np.ndarray):
+    """A Gram whose products with a block, ``G @ X``, append to ``log``."""
+
+    def __matmul__(self, other):
+        self.log.append(1)
+        return np.asarray(self) @ other
+
+
+def _counted(G, log):
+    G = G.view(_CountedGram)
+    G.log = log
+    return G
+
+
+def _subspace_projector(evals_and_block, w):
+    """The projector onto the Gram eigenvectors ``v = Y / s`` of a pair block."""
+    V = evals_and_block[1] / np.sqrt(w)[:, None]
+    return V @ V.T
+
+
+class TestWarmGramEigensolve:
+    """The Chebyshev-filtered subspace iteration that the wide fit starts
+    from its previous basis."""
+
+    @staticmethod
+    def _warm_calls(monkeypatch):
+        """The warm ``_gram_eigenpairs`` calls of one fit of fit-wide-shaped
+        data: rank-10 data in 600 features, 150 samples, 10% outlier
+        columns, fitted at c = 10; each starts from the previous step's
+        coordinates."""
+        rng = np.random.default_rng(0)
+        d, n, c = 600, 150, 10
+        basis = np.linalg.qr(rng.standard_normal((d, c)))[0]
+        X = 5.0 + basis @ (3.0 * rng.standard_normal((c, n))) + 0.05 * rng.standard_normal((d, n))
+        X[:, :n // 10] += rng.standard_normal((d, n // 10))
+        solve, calls = epca.solver._gram_eigenpairs, []
+
+        def record(gram, c, weights, d, start=None):
+            if start is not None:
+                calls.append((gram.copy(), c, weights.copy(), d, start.copy()))
+            return solve(gram, c, weights, d, start)
+
+        with monkeypatch.context() as m:
+            m.setattr(epca.solver, "_gram_eigenpairs", record)
+            epca_fit(X, c, SigmaLossParams(1.0))
+        return calls
+
+    def test_matches_the_subset_eigh_in_few_rayleigh_ritz_steps(self, monkeypatch):
+        # Each Rayleigh-Ritz step takes one QR.  The filtered solve takes 3
+        # to 5 per call here, and the plain iteration G Q took 7 to 17; at
+        # most 6 guards against sliding back to it.
+        calls = self._warm_calls(monkeypatch)
+        assert len(calls) >= 4
+        qr = np.linalg.qr
+        for gram, c, w, d, start in calls:
+            cold, _ = _gram_eigenpairs(gram, c, w, d)
+            qrs = []
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "qr", lambda *args: qrs.append(1) or qr(*args))
+                warm, gave_up = _gram_eigenpairs(gram, c, w, d, start)
+            assert not gave_up and len(qrs) <= 6
+            np.testing.assert_allclose(warm[0], cold[0], rtol=1e-13, atol=0)
+            assert np.max(np.abs(_subspace_projector(warm, w) - _subspace_projector(cold, w))) <= 1e-12
+
+    def test_ill_conditioned_data_reach_the_subset_eigh_or_give_up(self):
+        # The data of test_ill_conditioned_wide_data_stays_orthonormal,
+        # started from a basis near the top five directions.  The stopping
+        # test's gap tolerance lies below the residuals' rounding floor
+        # (eps * lambda_1) at every spread here, so each call gives up and
+        # returns the subset eigh's pairs; a call that converged would have
+        # to match them.  Neither may map to a basis farther from the SVD of
+        # the weighted data than the subset eigh's.
+        rng = np.random.default_rng(12)
+        U = np.linalg.qr(rng.standard_normal((80, 30)))[0]
+        V = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        tail = 0.1 * rng.uniform(0.1, 1.0, 25)
+        w = rng.uniform(0.5, 2.0, 30)
+        s = np.sqrt(w)
+        for spread in (1e2, 1e3, 1e4, 1e5, 1e6):
+            A = (U * np.concatenate([np.geomspace(spread, 1.0, 5), tail])) @ V.T
+            near = np.linalg.qr(U[:, :5] + 1e-3 * rng.standard_normal((80, 5)))[0]
+            cold, _ = _gram_eigenpairs(A.T @ A, 5, w, 80)
+            warm, gave_up = _gram_eigenpairs(A.T @ A, 5, w, 80, near.T @ A)
+            if gave_up:
+                for got, ref in zip(warm, cold):
+                    np.testing.assert_array_equal(got, ref)
+            else:
+                gap = np.max(np.abs(_subspace_projector(warm, w) - _subspace_projector(cold, w)))
+                assert gap <= 1e-12
+            svd_vecs = np.linalg.svd(A * s, full_matrices=False)[0][:, :5]
+            svd_projector = svd_vecs @ svd_vecs.T
+            errors = [np.max(np.abs(vecs @ vecs.T - svd_projector))
+                      for _, vecs in (epca.core._mapped_basis(A, *pairs, s) for pairs in (warm, cold))]
+            assert errors[0] <= errors[1]

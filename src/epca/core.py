@@ -47,22 +47,19 @@ class DataMatrix:
     """Dense real matrix whose columns are samples.
 
     ``values`` has shape (d, n): d features (rows) by n samples (columns),
-    checked by :func:`real_array`, and there must be at least two samples.
-    The values are stored in C memory order, because a fit's last bits
-    depend on the order (a row mean sums a C-ordered row pairwise, an
-    F-ordered one column by column).
+    checked and put in C memory order by :func:`real_array`, and there must
+    be at least two samples.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(real_array(self.values, "matrix", 2))
-        d, n = arr.shape
+        self.values = real_array(self.values, "matrix", 2)
+        d, n = self.values.shape
         if d < 1:
             raise DimensionError("need at least one feature row")
         if n < 2:
             raise DimensionError(f"need at least two sample columns, got {n}")
-        self.values = arr
 
     @property
     def feature_count(self) -> int:
@@ -161,13 +158,15 @@ def is_real(value) -> bool:
 
 
 def real_array(values, name: str, ndim: int, *, finite: bool = True) -> np.ndarray:
-    """``values`` as a float64 array with ``ndim`` axes; the check of every
-    real-valued array argument.
+    """``values`` as a C-ordered float64 array with ``ndim`` axes; the check
+    of every real-valued array argument.
 
     Entries of boolean, integer or float type are accepted.  Complex,
     string, object or ragged input is a ``ValidationError``, and so is a
     NaN/Inf entry unless ``finite`` is False; the wrong number of axes is a
-    ``DimensionError``.  A float64 array is returned as it is, not copied.
+    ``DimensionError``.  A C-ordered float64 array is returned as it is;
+    other input is copied, as C order fixes the last bits of a result (a
+    row sum adds a C-ordered row pairwise, an F-ordered one by columns).
     """
     try:
         raw = np.asarray(values)
@@ -178,7 +177,7 @@ def real_array(values, name: str, ndim: int, *, finite: bool = True) -> np.ndarr
     if raw.ndim != ndim:
         shape = "vector" if ndim == 1 else "matrix"
         raise DimensionError(f"{name} must be a {ndim}-D {shape}, got ndim={raw.ndim}")
-    arr = raw.astype(float, copy=False)
+    arr = np.ascontiguousarray(raw, dtype=float)
     if finite and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} entries must be finite (no NaN/Inf)")
     return arr

@@ -310,7 +310,8 @@ def grid_search_sigma(cfg: ExperimentConfig):
     the grid point.  Returns ``(best_sigma, curve, on_boundary)`` where the
     curve rows carry sigma, log2(sigma), the error, the stage, and that
     seed's error message (such rows are excluded from the argmin), and
-    ``on_boundary`` is whether the coarse winner sat at an end.
+    ``on_boundary`` is whether the coarse winner sat at an end.  When every
+    coarse point fails, a ``ValidationError`` names the first one's failure.
     """
     rank = cfg.ranks[0]
     X, _, occluded = _occluded_inputs(cfg, [rank])
@@ -331,8 +332,9 @@ def grid_search_sigma(cfg: ExperimentConfig):
 
     def winner(rows):
         scored = [row for row in rows if row["failure"] is None]
-        if not scored:
-            raise InternalInvariantError("every coarse grid point failed")
+        if not scored:  # only the coarse stage can fail every point
+            raise ValidationError("every grid point failed; sigma {sigma!r}: {failure}"
+                                  .format(**rows[0]))
         return min(scored, key=lambda row: (row["error"], row["sigma"]))
 
     curve = [evaluate(sigma, "coarse") for sigma in sorted(set(cfg.sigma_grid))]

@@ -22,7 +22,7 @@ On tall data every basis step works on the d-by-n data.  On wide data
 the weights eta / sum(eta), the centred n-by-n Gram, the basis as an n-by-c
 coefficient block on the centred data, and the coordinates and residual
 norms read from the Gram.  The basis is mapped to d-space once, at the end
-(see ``_GramSteps``).
+(see ``_GramSteps``); only a step whose Gram yields no basis runs in d-space.
 """
 
 from __future__ import annotations
@@ -166,12 +166,9 @@ class _ScatterSteps:
 
     def _scatter_step(self, m, eta):
         np.subtract(self.X, m[:, None], out=self.Xc)
-        _, self.W = self._basis(eta)
+        _, self.W = top_eigenpairs(self.Xc, self.c, eta)
         self.m, self.V = m, self.W.T @ self.Xc
         self.rn = _residual_norms(self.Xc, self.W, self.V, self.T)
-
-    def _basis(self, eta):
-        return top_eigenpairs(self.Xc, self.c, eta)
 
     def step(self, eta):
         """One basis step at the coefficients ``eta``; returns the residual norms."""
@@ -207,10 +204,12 @@ class _GramSteps(_ScatterSteps):
     is computed from its d-space column instead.  An exact fit then stays
     exact (the n-space form would leave residuals of ``sqrt(eps b_i)``),
     and a slowly converging one as close to the dense fit as d-space
-    residuals keep it.  A step whose Gram is not finite or has no gap at c
-    runs the d-space step of :class:`_ScatterSteps`; one whose basis is not
-    orthonormal maps its eigenpairs in d-space, with the Rayleigh-Ritz
-    repair of :func:`top_eigenpairs`.
+    residuals keep it.  ``W`` drifts from orthonormal like eps lambda_1 /
+    lambda_c, so when ``V B`` misses the identity by more than 1e-12, ``B``
+    and ``V`` become ``B L^-T`` and ``L^-1 V``, with ``L L' = V B``
+    (Cholesky): an orthonormal basis of the same span.  A Gram that is not
+    finite, has no gap at c or fails that Cholesky runs the d-space step of
+    :class:`_ScatterSteps`.
     """
 
     def __init__(self, X, c):
@@ -252,17 +251,23 @@ class _GramSteps(_ScatterSteps):
         return self.rn
 
     def _gram_step(self, G, bound, eta, start):
-        """The step on the centred Gram ``G``; False when it needs d-space."""
+        """The step on the centred Gram ``G``; False when it has no basis."""
         pairs, gave_up = _gram_eigenpairs(G, self.c, eta, self.X.shape[0], start)
         self.warm = self.warm and not gave_up
-        self.pairs, self.eta, self.in_gram = pairs, eta, False
+        self.pairs = None
         if pairs is None:
             return False
         evals, Y = pairs
         B = Y / np.sqrt(evals)
         V = B.T @ G
-        if not _orthonormal(V @ B):
-            return False
+        M = V @ B
+        if not _orthonormal(M):
+            try:
+                L = np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                return False
+            B = np.linalg.solve(L, B.T).T
+            V = np.linalg.solve(L, V)
         r2 = G.diagonal() - np.einsum("ij,ij->j", V, V)
         direct = r2 < _DIRECT * bound
         if np.any(direct):
@@ -271,17 +276,11 @@ class _GramSteps(_ScatterSteps):
             cols = Xc[:, direct]
             cols -= W @ (W.T @ cols)
             r2[direct] = np.einsum("ij,ij->j", cols, cols)
-        self.V, self.rn, self.in_gram = V, np.sqrt(r2), True
+        self.pairs, self.eta, self.V, self.rn = pairs, eta, V, np.sqrt(r2)
         return True
 
-    def _basis(self, eta):
-        # A d-space step maps the Gram step's eigenpairs when it found any.
-        if self.pairs is None:
-            return super()._basis(eta)
-        return _mapped_basis(self.Xc, *self.pairs, np.sqrt(eta))
-
     def model(self):
-        if not self.in_gram:
+        if self.pairs is None:
             return super().model()
         Xc, m = self._centred()
         _, W = _mapped_basis(Xc, *self.pairs, np.sqrt(self.eta))

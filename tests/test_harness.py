@@ -701,6 +701,16 @@ class TestCli:
         assert "boundary" in caplog.text
         assert summary["curve_points"] == 3 + 8  # the fine stage ran
 
+    def test_grid_sigma_that_fails_everywhere_names_the_first_cause(self, tmp_path, capsys):
+        inp = _data_csv(tmp_path)
+        code = cli.main(["grid-sigma", "--input", str(inp), "--rank", "2",
+                         "--sigma", "-1", "--sigma", "0", "--seed", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValidationError: every grid point failed; sigma -1.0: seed 0: "
+            "ValidationError: sigma must be a positive finite real, got -1.0\n"
+        )
+
 
 def test_every_run_flag_sets_a_config_field():
     # _build_config reads each flag by the field name in its dest.

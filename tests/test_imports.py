@@ -1,9 +1,11 @@
 """Every module-level import in the package's modules is used, every
 module-level private definition is referenced somewhere in the package,
-array arguments are converted by ``core.real_array`` alone, and integer
-arguments are checked by the rules in ``core`` alone."""
+array arguments are converted by ``core.real_array`` alone, integer
+arguments are checked by the rules in ``core`` alone, and every function
+that the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -134,3 +136,16 @@ def test_integer_rules_are_applied_by_core_alone():
                    and (getattr(node.func, "id", None) == "as_integer"
                         or getattr(node.func, "attr", None) == "as_integer"))
     assert calls == []
+
+
+def test_every_benchmark_trace_target_resolves():
+    # perfbench/tracing.py wraps these module globals on every benchmark
+    # run, so one that is renamed or no longer imported fails every run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = sorted(f"{module.__name__}.{attr}" for module, attr, *_ in tracing.TARGETS
+                     if not callable(getattr(module, attr, None)))
+    assert tracing.TARGETS
+    assert missing == []

@@ -284,6 +284,25 @@ def test_memory_order_does_not_change_the_bits(entry):
         np.testing.assert_array_equal(a, b)
 
 
+_RAW_ARRAY_ENTRY_POINTS = {
+    "top_eigenpairs": ((200, 60), lambda A, model: top_eigenpairs(A, 3, np.ones(60))),
+    "reconstruct": ((5, 300), lambda V, model: [reconstruct(model, V)]),
+    "transform": ((40, 300), lambda Y, model: [transform(model, Y)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RAW_ARRAY_ENTRY_POINTS))
+def test_memory_order_of_a_raw_array_does_not_change_the_bits(entry):
+    # Every array argument is read in C order.  At these shapes an
+    # F-ordered copy of the Gram route's data or of reconstruct's
+    # coordinates would give other last bits.
+    shape, call = _RAW_ARRAY_ENTRY_POINTS[entry]
+    A = np.random.default_rng(0).standard_normal(shape)
+    model = fit_classical_pca(np.random.default_rng(1).standard_normal((40, 300)), 5)
+    for a, b in zip(call(A, model), call(np.asfortranarray(A), model), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_degenerate_fits_descend_without_tripping_the_guard():
     """Fits whose losses vanish or tie (exact planes, duplicate samples) run
     through the zero-loss rule of the weight step and still descend."""
@@ -403,6 +422,53 @@ def test_fits_that_pin_a_sample_match_the_dense_fit(seed, monkeypatch):
     np.testing.assert_allclose(routed.objective_trace[-1], dense.objective_trace[-1], rtol=1e-12)
 
 
+def _count_d_space_steps(m):
+    """The list that collects the basis steps wide fits take in d-space."""
+    steps, scatter_step = [], epca.solver._ScatterSteps._scatter_step
+
+    def counted(self, *args):
+        if isinstance(self, epca.solver._GramSteps):
+            steps.append(args)
+        return scatter_step(self, *args)
+
+    m.setattr(epca.solver._ScatterSteps, "_scatter_step", counted)
+    return steps
+
+
+@pytest.mark.parametrize("seed", [31, 72])
+def test_drifting_gram_basis_is_orthonormalised_in_n_space(seed, monkeypatch):
+    # lambda_1 / lambda_c passes 1e4, so the Gram basis W = Xc B misses
+    # orthonormality by more than 1e-12 on almost every step; a Cholesky of
+    # the c-by-c W'W = V B repairs it without leaving n-space.
+    X, c = sweep_problem(seed)
+    steps = _count_d_space_steps(monkeypatch)
+    routed, dense = _gram_and_dense_fits(X, c, monkeypatch)
+    assert steps == []
+    assert routed.iterations == dense.iterations > 10
+    np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
+    W, W_dense = routed.model.basis, dense.model.basis
+    assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-9
+    np.testing.assert_allclose(routed.objective_trace[-1], dense.objective_trace[-1], rtol=1e-12)
+
+
+def test_failed_n_space_repair_takes_the_d_space_step(monkeypatch):
+    # A Cholesky that fails counts as no basis: the step runs in d-space.
+    X, c = sweep_problem(31)
+    calls = []
+
+    def failing(M):
+        calls.append(M)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    steps = _count_d_space_steps(monkeypatch)
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    state = epca_fit(X, c, SigmaLossParams(1.0))
+    assert len(steps) == len(calls) > 10
+    assert state.iterations > 10
+    trace = state.objective_trace
+    assert np.all(np.diff(trace) <= 4 * np.finfo(float).eps * trace[:-1])
+
+
 def test_warm_eigensolve_is_dropped_once_it_gives_up(monkeypatch):
     # Rank-10 data fitted at c = 5: the gap at c is narrow, the warm
     # iteration from the previous basis gives up on the first basis step,
@@ -444,9 +510,9 @@ def test_gram_update_holds_when_outliers_drag_the_initial_mean(monkeypatch):
     # The outliers sit ~1400 from the inliers, whose columns have norm ~6
     # about their mean; the Gram formed at the sample mean is updated by
     # rank-2 corrections over a shift of ~120 and still matches the dense
-    # fit as closely as a Gram formed afresh each iteration does.  Seeds 0
-    # and 1 each have one basis step whose mapped basis drifts past 1e-12
-    # and is repaired on the route.
+    # fit as closely as a Gram formed afresh each iteration does.  Seed 0
+    # has one basis step, and seed 1 two, whose Gram basis drifts past
+    # 1e-12 and is orthonormalised in n-space.
     for seed in range(3):
         X = _planted_wide(seed, drag=100.0)
         routed, dense = _gram_and_dense_fits(X, 4, monkeypatch)

@@ -164,17 +164,28 @@ def _cmd_run(args):
     return 2 if report.any_failures else 0
 
 
+def _write_curve_csv(path, curve):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["log2_sigma", "error", "stage", "failure"])
+        for row in sorted(curve, key=lambda r: r["sigma"]):
+            writer.writerow([repr(row["log2_sigma"]),
+                             "" if row["error"] is None else repr(row["error"]),
+                             row["stage"], row["failure"] or ""])
+
+
 def _cmd_grid_sigma(args):
     cfg = _build_config(args, default_sigmas=DEFAULT_SIGMA_GRID)
-    best_sigma, curve, boundary = grid_search_sigma(cfg)
+    try:
+        best_sigma, curve, boundary = grid_search_sigma(cfg)
+    except ValidationError as exc:
+        # A search that fails at every coarse point still writes its curve,
+        # so the cause of each point is kept.
+        if args.out and hasattr(exc, "curve"):
+            _write_curve_csv(args.out, exc.curve)
+        raise
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["log2_sigma", "error", "stage", "failure"])
-            for row in sorted(curve, key=lambda r: r["sigma"]):
-                writer.writerow([repr(row["log2_sigma"]),
-                                 "" if row["error"] is None else repr(row["error"]),
-                                 row["stage"], row["failure"] or ""])
+        _write_curve_csv(args.out, curve)
     _emit({
         "best_sigma": best_sigma,
         "boundary_warning": boundary,

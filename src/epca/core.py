@@ -223,8 +223,8 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
     replaced by one Rayleigh-Ritz step on its span (a QR, then an ``eigh`` of
     the c-by-c projected Gram), which is orthonormal by construction.
     Otherwise, and for tall or square data, the scatter is built and
-    decomposed by a full ``eigh``.  The scatter is ``A @ A.T`` for unit
-    weights and ``(A * weights) @ A.T`` otherwise.
+    decomposed by a full ``eigh``.  The scatter is ``B @ B.T`` with
+    ``B = A * sqrt(weights)``, which is ``A @ A.T`` for unit weights.
 
     The gauge convention makes the output reproducible:
 
@@ -252,10 +252,9 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
             return _mapped_basis(A, *pairs, np.sqrt(w))
     # A non-finite Gram or a tie at the boundary falls through to the
     # scatter, whose finiteness check reports an overflow.  numpy forms
-    # A @ A.T by a symmetric rank-k update, at half the cost of the general
-    # product.
-    S = A @ A.T if np.all(w == 1.0) else (A * w) @ A.T
-    return _dense_top_eigenpairs(S, c)
+    # B @ B.T by a symmetric rank-k update: an exactly symmetric scatter.
+    B = A * np.sqrt(w)
+    return _dense_top_eigenpairs(B @ B.T, c)
 
 
 def _gram_eigenpairs(gram, c, weights, d, start=None):
@@ -381,11 +380,12 @@ def _rayleigh_ritz(A, s, U):
 
 
 def _dense_top_eigenpairs(S, c):
-    """Top-c eigenpairs of the d-by-d scatter ``S`` by a full ``eigh``, gauged."""
+    """Top-c eigenpairs of the d-by-d scatter ``S``, read as symmetric (``eigh``
+    uses its lower triangle only), by a full ``eigh``, gauged."""
     if not np.all(np.isfinite(S)):
         raise ValidationError("matrix entries must be finite")
     # eigh returns the eigenvalues in ascending order.
-    evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
+    evals, evecs = np.linalg.eigh(S)
     evals, evecs = _apply_gauge(evals[::-1], evecs[:, ::-1])
     return evals[:c].copy(), evecs[:, :c].copy()
 

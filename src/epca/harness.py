@@ -311,7 +311,8 @@ def grid_search_sigma(cfg: ExperimentConfig):
     curve rows carry sigma, log2(sigma), the error, the stage, and that
     seed's error message (such rows are excluded from the argmin), and
     ``on_boundary`` is whether the coarse winner sat at an end.  When every
-    coarse point fails, a ``ValidationError`` names the first one's failure.
+    coarse point fails, a ``ValidationError`` names the first one's failure
+    and carries the coarse curve as its ``curve`` attribute.
     """
     rank = cfg.ranks[0]
     X, _, occluded = _occluded_inputs(cfg, [rank])
@@ -333,8 +334,10 @@ def grid_search_sigma(cfg: ExperimentConfig):
     def winner(rows):
         scored = [row for row in rows if row["failure"] is None]
         if not scored:  # only the coarse stage can fail every point
-            raise ValidationError("every grid point failed; sigma {sigma!r}: {failure}"
+            exc = ValidationError("every grid point failed; sigma {sigma!r}: {failure}"
                                   .format(**rows[0]))
+            exc.curve = rows
+            raise exc
         return min(scored, key=lambda row: (row["error"], row["sigma"]))
 
     curve = [evaluate(sigma, "coarse") for sigma in sorted(set(cfg.sigma_grid))]

@@ -176,7 +176,8 @@ class TestTopEigenpairs:
 
 
 def _dense_weighted(A, c, w):
-    return _dense_top_eigenpairs((A * w) @ A.T, c)
+    B = A * np.sqrt(w)
+    return _dense_top_eigenpairs(B @ B.T, c)
 
 
 class TestTopEigenpairsWeighted:
@@ -282,12 +283,25 @@ class TestTopEigenpairsWeighted:
                 np.testing.assert_array_equal(got, ref)
 
     def test_unit_weights_decompose_the_plain_gram(self):
-        # numpy forms A @ A.T with a symmetric rank-k update, whose bits can
-        # differ from those of (A * 1) @ A.T.
+        # A * sqrt(1) has the bits of A, so unit weights run the same
+        # symmetric rank-k update as A @ A.T.
         rng = np.random.default_rng(7)
         A = rng.standard_normal((5, 40))
         for got, ref in zip(top_eigenpairs(A, 3, np.ones(40)), _dense_top_eigenpairs(A @ A.T, 3)):
             np.testing.assert_array_equal(got, ref)
+
+    def test_weighted_scatter_is_exactly_symmetric(self, monkeypatch):
+        # The general product (A * w) @ A.T rounds its two triangles
+        # differently at this shape; B @ B.T writes one triangle and mirrors it.
+        rng = np.random.default_rng(13)
+        A, w = rng.standard_normal((64, 600)), rng.uniform(0.1, 3.0, 600)
+        scatters = []
+        dense = epca.core._dense_top_eigenpairs
+        monkeypatch.setattr(epca.core, "_dense_top_eigenpairs",
+                            lambda S, c: scatters.append(S) or dense(S, c))
+        top_eigenpairs(A, 5, w)
+        (S,) = scatters
+        assert np.array_equal(S, S.T)
 
     def test_tie_across_the_boundary_is_dense(self):
         rng = np.random.default_rng(8)

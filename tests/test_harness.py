@@ -711,6 +711,23 @@ class TestCli:
             "ValidationError: sigma must be a positive finite real, got -1.0\n"
         )
 
+    def test_grid_sigma_that_fails_everywhere_still_writes_its_curve(self, tmp_path, capsys):
+        inp = _data_csv(tmp_path)
+        curve_path = tmp_path / "curve.csv"
+        code = cli.main(["grid-sigma", "--input", str(inp), "--rank", "2",
+                         "--sigma", "-1", "--sigma", "0", "--seed", "0",
+                         "--out", str(curve_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: ValidationError: every grid point failed; sigma -1.0: ")
+        with open(curve_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["stage"] for row in rows] == ["coarse", "coarse"]
+        assert [row["error"] for row in rows] == ["", ""]
+        for row, sigma in zip(rows, ("-1.0", "0.0")):
+            assert row["failure"] == (
+                f"seed 0: ValidationError: sigma must be a positive finite real, got {sigma}")
+
 
 def test_every_run_flag_sets_a_config_field():
     # _build_config reads each flag by the field name in its dest.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import DataMatrix, RngHandle, as_count, as_seed, is_real, real_array
 from .errors import DimensionError, ValidationError
@@ -252,6 +251,9 @@ def _first_min(D):
 
 def clustering_accuracy(predicted, truth: LabelVector) -> float:
     """Best label-agreement fraction over one-to-one cluster/class mappings."""
+    # At module level it would slow the start-up of every process that scores no clusters.
+    from scipy.optimize import linear_sum_assignment
+
     if not isinstance(truth, LabelVector):
         raise ValidationError(f"truth must be a LabelVector, got {type(truth).__name__}")
     pred = _whole_numbers(predicted, "predicted labels")

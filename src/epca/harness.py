@@ -164,9 +164,10 @@ def ingest_csv(path, labels_path=None):
     """Load a numeric CSV (rows = samples) and an optional label column.
 
     A non-numeric first row is treated as a header and skipped with a log
-    notice.  Parsing failures carry the 1-based row/column location as it
-    appears in the file.  Returns ``(DataMatrix, LabelVector | None)``; the
-    matrix is transposed into the internal columns-are-samples convention.
+    notice.  The labels file holds one cell per row.  Parsing failures carry
+    the 1-based row/column location as it appears in the file.  Returns
+    ``(DataMatrix, LabelVector | None)``; the matrix is transposed into the
+    internal columns-are-samples convention.
     """
     rows = []
     for row_num, row in _csv_rows(path):
@@ -182,7 +183,12 @@ def ingest_csv(path, labels_path=None):
 
     labels = None
     if labels_path is not None:
-        raw = _parse_labels([(row_num, row[0].strip()) for row_num, row in _csv_rows(labels_path)])
+        label_rows = []
+        for row_num, row in _csv_rows(labels_path):
+            if len(row) != 1:
+                raise IngestionError(f"row {row_num}: has {len(row)} cells, expected 1 label")
+            label_rows.append((row_num, row[0].strip()))
+        raw = _parse_labels(label_rows)
         if len(raw) != X.sample_count:
             raise IngestionError(
                 f"label count {len(raw)} != sample count {X.sample_count}"

@@ -175,6 +175,20 @@ class TestIngestCsv:
             with pytest.raises(IngestionError, match="row 3"):
                 ingest_csv(data, labels)
 
+    def test_label_row_with_more_than_one_cell_reports_its_row(self, tmp_path):
+        # An id,label file would otherwise be scored against its id column.
+        data = tmp_path / "data.csv"
+        data.write_text("1,2\n3,4\n5,6\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n7,0\n8,1\n9,1\n")
+        with pytest.raises(IngestionError) as err:
+            ingest_csv(data, labels)
+        assert str(err.value) == "row 2: has 2 cells, expected 1 label"
+        labels.write_text("label\n0\n1\n1,2\n")
+        with pytest.raises(IngestionError, match="row 4: has 2 cells"):
+            ingest_csv(data, labels)
+        labels.write_text("label\n0\n1\n1\n")
+        assert ingest_csv(data, labels)[1].labels.tolist() == [0, 1, 1]
 
     def test_bad_label_message_names_the_first_bad_row(self, tmp_path):
         data = tmp_path / "data.csv"

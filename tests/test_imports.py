@@ -1,11 +1,15 @@
 """Every module-level import in the package's modules is used, every
 module-level private definition is referenced somewhere in the package,
 array arguments are converted by ``core.real_array`` alone, integer
-arguments are checked by the rules in ``core`` alone, and every function
-that the benchmark's tracer wraps still exists."""
+arguments are checked by the rules in ``core`` alone, every function
+that the benchmark's tracer wraps still exists, and only scoring clusters
+loads ``scipy.optimize``."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,3 +153,57 @@ def test_every_benchmark_trace_target_resolves():
                      if not callable(getattr(module, attr, None)))
     assert tracing.TARGETS
     assert missing == []
+
+
+_NO_SCORING_RUN = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import epca
+import epca.cli
+from epca import (CorruptionSpec, DataMatrix, ExperimentConfig, LabelVector, SigmaLossParams,
+                  clustering_accuracy, corrupt, epca_fit, fit_classical_pca, fit_pca_om,
+                  reconstruct, reconstruction_error, run_experiment, transform)
+from epca.core import gram_route
+
+tmp = Path(sys.argv[1])
+gen = np.random.default_rng(0)
+wide, tall = DataMatrix(gen.normal(size=(40, 12))), DataMatrix(gen.normal(size=(5, 30)))
+assert gram_route(40, 12, 2) and not gram_route(5, 30, 2)
+for X in (wide, tall):
+    epca_fit(X, 2, SigmaLossParams(1.0))
+    fit_classical_pca(X, 2)
+    model = fit_pca_om(X, 2)
+    reconstruct(model, transform(model, X.values))
+    X_occ, _, _ = corrupt(X, CorruptionSpec(0.5, 0.5, seed=1))
+    reconstruction_error(X, X_occ, model.basis, model.translation)
+
+data, occluded, model = tmp / "data.csv", tmp / "occluded.csv", tmp / "model.json"
+np.savetxt(data, gen.normal(size=(30, 5)), delimiter=",")
+run_experiment(ExperimentConfig(str(data), ["classical_pca", "epca", "pca_om"], [2], [1.0],
+                                CorruptionSpec(0.2, 0.2, seed=0), [0]))
+for argv in (["corrupt", "--input", str(data), "--out", str(occluded)],
+             ["fit", "--input", str(occluded), "--rank", "2", "--out", str(model)],
+             ["grid-sigma", "--input", str(data), "--rank", "2", "--sigma", "0.5",
+              "--sigma", "1", "--sigma", "2"],
+             ["eval", "--clean", str(data), "--occluded", str(occluded), "--model", str(model)]):
+    assert epca.cli.main(argv) == 0, argv
+assert "scipy.optimize" not in sys.modules
+
+accuracy = clustering_accuracy([1, 1, 0, 0, 0], LabelVector.from_raw([0, 0, 1, 1, 0]))
+assert "scipy.optimize" in sys.modules
+assert accuracy == 0.8, accuracy
+"""
+
+
+def test_only_scoring_clusters_loads_scipy_optimize(tmp_path):
+    # Fitting, corrupting, reconstructing and reconstruction scoring run in a
+    # fresh interpreter, since this session has loaded scipy.optimize already.
+    src = str(Path(epca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCORING_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

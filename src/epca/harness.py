@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import fit_classical_pca, fit_pca_om
-from .core import DataMatrix, RngHandle, as_count, as_seed, check_tol, is_real
-from .errors import DimensionError, IngestionError, InternalInvariantError, ValidationError
+from .core import DataMatrix, RngHandle, as_count, as_seed, check_rank, check_tol, is_real
+from .errors import IngestionError, InternalInvariantError, ValidationError
 from .evaluation import (CorruptionSpec, LabelVector, _whole_numbers, corrupt,
                          mean_clustering_accuracy, reconstruction_error)
 from .sigmaloss import SigmaLossParams
@@ -110,31 +110,24 @@ class ExperimentReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _parse_cell(cell, row_num, col_num):
-    try:
-        return float(cell)
-    except ValueError:
-        raise IngestionError(
-            f"row {row_num}, column {col_num}: could not parse {cell!r} as a number"
-        ) from None
+def _parse(rows, rule, message):
+    """``rule`` applied to the cell lists of the ``(row_number, cells)`` rows.
 
-
-def _parse_labels(rows):
-    """The label cells of ``(row_number, cell)`` rows as whole numbers.
-
-    The class-id rule runs once on the whole column; only when it fails are
-    the cells walked, so that the ``IngestionError`` names the first bad row.
+    The rule converts and checks every cell at once; only when it fails are
+    the cells walked in file order, so that the ``IngestionError`` names the
+    first bad one by ``message``, formatted with its ``row``, ``col`` and
+    ``cell``.
     """
     try:
-        return _whole_numbers(np.array([float(cell) for _, cell in rows]), "labels")
+        return rule([cells for _, cells in rows])
     except (ValueError, ValidationError):
-        for row_num, cell in rows:
-            try:
-                _whole_numbers(float(cell), "label")
-            except (ValueError, ValidationError):
-                raise IngestionError(
-                    f"row {row_num}: could not parse label {cell!r} as an integer"
-                ) from None
+        for row_num, cells in rows:
+            for col_num, cell in enumerate(cells, start=1):
+                try:
+                    rule([[cell]])
+                except (ValueError, ValidationError):
+                    raise IngestionError(
+                        message.format(row=row_num, col=col_num, cell=cell)) from None
         raise
 
 
@@ -171,15 +164,15 @@ def ingest_csv(path, labels_path=None):
     """
     rows = []
     for row_num, row in _csv_rows(path):
-        if rows and len(row) != len(rows[0]):
+        if rows and len(row) != len(rows[0][1]):
             raise IngestionError(
-                f"row {row_num}: has {len(row)} cells, expected {len(rows[0])}"
+                f"row {row_num}: has {len(row)} cells, expected {len(rows[0][1])}"
             )
-        rows.append([_parse_cell(cell, row_num, col_num)
-                     for col_num, cell in enumerate(row, start=1)])
+        rows.append((row_num, row))
     if not rows:
         raise IngestionError(f"{path}: no numeric data rows")
-    X = DataMatrix(np.array(rows, dtype=float).T)
+    X = DataMatrix(_parse(rows, lambda cells: np.array(cells, dtype=float),
+                          "row {row}, column {col}: could not parse {cell!r} as a number").T)
 
     labels = None
     if labels_path is not None:
@@ -187,8 +180,10 @@ def ingest_csv(path, labels_path=None):
         for row_num, row in _csv_rows(labels_path):
             if len(row) != 1:
                 raise IngestionError(f"row {row_num}: has {len(row)} cells, expected 1 label")
-            label_rows.append((row_num, row[0].strip()))
-        raw = _parse_labels(label_rows)
+            label_rows.append((row_num, [row[0].strip()]))
+        raw = _parse(label_rows,
+                     lambda cells: _whole_numbers(np.array(cells, dtype=float).ravel(), "labels"),
+                     "row {row}: could not parse label {cell!r} as an integer")
         if len(raw) != X.sample_count:
             raise IngestionError(
                 f"label count {len(raw)} != sample count {X.sample_count}"
@@ -262,10 +257,8 @@ def _occluded_inputs(cfg, ranks):
     and occludes the clean matrix once per seed (``occluded[seed]``).
     """
     X, labels = ingest_csv(cfg.input_path, cfg.labels_path)
-    d = X.feature_count
-    bad_ranks = [c for c in ranks if not (1 <= c < d)]
-    if bad_ranks:
-        raise DimensionError(f"ranks {bad_ranks} not in [1, {d - 1}] for d={d}")
+    for c in ranks:
+        check_rank(c, X.feature_count - 1)
     occluded = {
         seed: corrupt(X, replace(cfg.corruption, seed=seed))[0] for seed in cfg.seeds
     }

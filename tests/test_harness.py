@@ -399,7 +399,7 @@ class TestRunExperiment:
                              ids=["run_experiment", "grid_search_sigma"])
     def test_out_of_range_rank_is_rejected_up_front(self, tmp_path, driver):
         cfg = _config(_data_csv(tmp_path), ranks=[5])  # d == 5, need rank < d
-        with pytest.raises(DimensionError, match=r"ranks \[5\] not in \[1, 4\] for d=5"):
+        with pytest.raises(DimensionError, match=r"need 1 <= c <= 4, got c=5"):
             driver(cfg)
 
 

@@ -43,6 +43,9 @@ class CorruptionSpec:
             if not (is_real(value) and 0.0 <= value <= 1.0):
                 raise ValidationError(f"{name} must be a real number in [0, 1], got {value!r}")
         as_seed(self.seed)
+        if not isinstance(self.shared_features, (bool, np.bool_)):
+            raise ValidationError(f"shared_features must be a bool, got {self.shared_features!r}")
+        object.__setattr__(self, "shared_features", bool(self.shared_features))
 
 
 @dataclass

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -54,6 +55,13 @@ class ExperimentConfig:
     max_iter: int = 100
 
     def __post_init__(self):
+        if not isinstance(self.corruption, CorruptionSpec):
+            raise ValidationError(f"corruption must be a CorruptionSpec, got {self.corruption!r}")
+        for name, paths in (("input_path", (str, os.PathLike)),
+                            ("labels_path", (str, os.PathLike, type(None)))):
+            if not isinstance(getattr(self, name), paths):
+                raise ValidationError(f"{name} must be a path (str or os.PathLike), "
+                                      f"got {getattr(self, name)!r}")
         for name in ("methods", "ranks", "sigma_grid", "seeds"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
@@ -135,22 +143,30 @@ def _csv_rows(path):
     """Yield ``(row_number, row)`` for the non-blank rows of a CSV file.
 
     Row numbers are 1-based as in the file.  A first row holding a cell that
-    is not a number is a header: it is skipped with a log notice.
+    is not a number is a header: it is skipped with a log notice.  A file
+    that is not UTF-8 text, or that the ``csv`` module cannot read (a field
+    over its size limit), is an ``IngestionError`` naming the file.
     """
     first = True
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row_num, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if first:
-                first = False
-                try:
-                    for cell in row:
-                        float(cell)
-                except ValueError:
-                    logger.info("skipping header row in %s: %r", path, row)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for row_num, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
                     continue
-            yield row_num, row
+                if first:
+                    first = False
+                    try:
+                        for cell in row:
+                            float(cell)
+                    except ValueError:
+                        logger.info("skipping header row in %s: %r", path, row)
+                        continue
+                yield row_num, row
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not a UTF-8 text file ({exc})") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def ingest_csv(path, labels_path=None):

@@ -32,6 +32,16 @@ class TestCorruptionSpec:
         with pytest.raises(ValidationError):
             CorruptionSpec(0.2, 0.2, seed=-3)
 
+    @pytest.mark.parametrize("value", ["no", "false", 1, None])
+    def test_shared_features_must_be_a_bool(self, value):
+        # A truthy string would otherwise share one feature subset.
+        with pytest.raises(ValidationError, match=f"shared_features must be a bool, got {value!r}"):
+            CorruptionSpec(0.1, 0.1, 0, shared_features=value)
+
+    def test_a_numpy_bool_sets_shared_features(self):
+        spec = CorruptionSpec(0.1, 0.1, 0, shared_features=np.True_)
+        assert spec.shared_features is True
+
 
 class TestCorrupt:
     def test_zero_fractions_are_a_no_op(self):

@@ -199,6 +199,22 @@ class TestIngestCsv:
             ingest_csv(data, labels)
         assert str(err.value) == "row 4: could not parse label '2.5' as an integer"
 
+    @pytest.mark.parametrize("content, named", [
+        ("café,1\n2,3\n".encode("latin-1"), ": not a UTF-8 text file ('utf-8' codec"),
+        (b"1\n" + b"5" * 200_000 + b"\n", ", line 2: field larger than field limit"),
+    ], ids=["latin-1", "oversize-field"])
+    def test_an_unreadable_file_is_an_ingestion_error(self, tmp_path, capsys, content, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        data = tmp_path / "data.csv"
+        data.write_text("1,2\n3,4\n")
+        for args in [(bad,), (data, bad)]:
+            with pytest.raises(IngestionError) as err:
+                ingest_csv(*args)
+            assert str(err.value).startswith(f"{bad}{named}")
+        assert cli.main(["fit", "--input", str(bad), "--rank", "1"]) == 2
+        assert f"error: IngestionError: {bad}{named}" in capsys.readouterr().err
+
 
 class TestExperimentConfig:
     def test_methods_must_be_known(self):
@@ -268,6 +284,28 @@ class TestExperimentConfig:
             if setting == "corruption":
                 value = CorruptionSpec(*value)
             _config("x.csv", **{setting: value})
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("corruption", {"sample_fraction": 0.1}, r"corruption must be a CorruptionSpec, got \{"),
+        ("corruption", None, "corruption must be a CorruptionSpec, got None"),
+        ("input_path", None, r"input_path must be a path \(str or os.PathLike\), got None"),
+        ("input_path", 3, r"input_path must be a path \(str or os.PathLike\), got 3"),
+        ("labels_path", 3, r"labels_path must be a path \(str or os.PathLike\), got 3"),
+    ], ids=["corruption-dict", "corruption-none", "input_path-none", "input_path-int",
+            "labels_path-int"])
+    def test_corruption_and_paths_are_checked_when_built(self, setting, value, message):
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(_config("x.csv"), **{setting: value})
+
+    def test_paths_may_be_path_objects(self, tmp_path):
+        data, label_path = _labelled_files(tmp_path)
+        cfg = dataclasses.replace(_labelled_config(tmp_path), input_path=data,
+                                  labels_path=label_path)
+        report = run_experiment(cfg)
+        assert not report.any_failures
+        assert report.cells[0]["mean_accuracy"] is not None
+        assert (report.config["input_path"], report.config["labels_path"]) == (
+            str(data), str(label_path))
 
     @pytest.mark.parametrize("setting", ["restarts", "seeds", "ranks", "max_iter"])
     def test_bool_is_not_read_as_an_integer(self, setting):
@@ -634,6 +672,23 @@ class TestCli:
         if not named.startswith("ValidationError"):  # a value of the wrong type
             assert "IngestionError" in err and str(config_path) in err
         assert named in err
+
+    @pytest.mark.parametrize("content, named", [
+        ('{"input_path": 3}', "input_path must be a path (str or os.PathLike), got 3"),
+        ('{"labels_path": 3}', "labels_path must be a path (str or os.PathLike), got 3"),
+        ('{"corruption": {"shared_features": "false"}}',
+         "shared_features must be a bool, got 'false'"),
+    ], ids=["input_path-int", "labels_path-int", "shared_features-string"])
+    def test_run_rejects_a_config_value_of_the_wrong_type(self, tmp_path, capsys, content,
+                                                          named):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content)
+        data = _data_csv(tmp_path)
+        args = ["run", "--config", str(config_path), "--rank", "2"]
+        if "input_path" not in content:
+            args += ["--input", str(data)]
+        assert cli.main(args) == 2
+        assert f"error: ValidationError: {named}" in capsys.readouterr().err
 
     def test_run_produces_report_and_csv(self, tmp_path):
         inp = _data_csv(tmp_path)

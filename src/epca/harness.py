@@ -174,7 +174,9 @@ def ingest_csv(path, labels_path=None):
 
     A non-numeric first row is treated as a header and skipped with a log
     notice.  The labels file holds one cell per row.  Parsing failures carry
-    the 1-based row/column location as it appears in the file.  Returns
+    the 1-based row/column location as it appears in the file; a file that
+    is not UTF-8 text or that the ``csv`` module cannot read names the file.
+    Both are ``IngestionError``.  Returns
     ``(DataMatrix, LabelVector | None)``; the matrix is transposed into the
     internal columns-are-samples convention.
     """

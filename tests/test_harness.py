@@ -299,8 +299,7 @@ class TestExperimentConfig:
 
     def test_paths_may_be_path_objects(self, tmp_path):
         data, label_path = _labelled_files(tmp_path)
-        cfg = dataclasses.replace(_labelled_config(tmp_path), input_path=data,
-                                  labels_path=label_path)
+        cfg = dataclasses.replace(_config(data), input_path=data, labels_path=label_path)
         report = run_experiment(cfg)
         assert not report.any_failures
         assert report.cells[0]["mean_accuracy"] is not None

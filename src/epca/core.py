@@ -10,10 +10,13 @@ is repaired by one Rayleigh-Ritz step, and the route falls through to a full
 ``eigh`` of the d-by-d scatter on an overflow or an eigenvalue tie at the c
 boundary.  The Gram eigensolve itself, ``_gram_eigenpairs``, is shared with
 the alternating fit, which keeps its own Gram and passes a start block (its
-previous basis): the eigenpairs then come from Chebyshev-filtered block
-subspace iteration at O(n^2 c) per product with the Gram, and from a subset
-``eigh`` at O(n^3) without a start or when the iteration gives up, which it
-does once it would cost more than that ``eigh``."""
+previous basis).  Its eigenpairs come from Chebyshev-filtered block subspace
+iteration at O(n^2 c) per product with the Gram, from that block or, without
+one, from the Gram applied to a fixed Gaussian block.  A Gram of order up to
+``_SMALL_GRAM`` takes numpy's full ``eigh`` instead when it has no start
+block, and a larger one scipy's subset ``eigh`` at O(n^3) when the iteration
+gives up, which it does once it would cost more than that ``eigh``; only
+that branch loads ``scipy.linalg``."""
 
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, ValidationError
 
@@ -40,6 +42,13 @@ _MAX_PRODUCTS = 45
 _SETTLE_STEPS = 4
 _RES_TOL = 1e-14
 _GAP_TOL = 1e-13
+# The largest Gram order whose eigenpairs come from numpy's full eigh when
+# there is no start block.  On planted rank-10 Grams at c = 10 (one BLAS
+# thread, best of 60) the full eigh takes 0.23, 0.83 and 1.2 ms at n = 40,
+# 80 and 100, against 0.32, 0.79 and 0.89 ms for scipy's subset eigh and
+# 1.7-2.0 ms for the iteration from a range-finder block; at n = 300 the
+# iteration takes 5.7 ms, the subset eigh 6.3 ms and the full eigh 9.7 ms.
+_SMALL_GRAM = 100
 
 
 @dataclass
@@ -211,10 +220,10 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
 
     When ``c < n < d`` the scatter shares its nonzero eigenvalues with the
     n-by-n weighted Gram ``G = diag(s) A.T A diag(s)``, ``s = sqrt(weights)``.
-    Its top c+1 eigenpairs ``(lambda, v)`` come from a subset ``eigh``, and
-    the eigenvectors are ``A @ (s * v) / sqrt(lambda)``, at O(d n^2 + n^3)
-    instead of the O(d^3) full ``eigh`` (see :func:`_gram_eigenpairs`).  That
-    result is kept only when ``G`` is finite and the gap between the c-th
+    Its top c+1 eigenpairs ``(lambda, v)`` come from
+    :func:`_gram_eigenpairs`, and the eigenvectors are ``A @ (s * v) /
+    sqrt(lambda)``, at O(d n^2 + n^3) instead of the O(d^3) full ``eigh``.
+    That result is kept only when ``G`` is finite and the gap between the c-th
     and (c+1)-th eigenvalue is above rounding (an exact tie, or c above the
     rank of the data, lets the two routes pick different equally valid
     subspaces).  The mapped basis drifts from orthogonality like
@@ -272,30 +281,56 @@ def _gram_eigenpairs(gram, c, weights, d, start=None):
     coordinates in an approximate basis ``W`` (the alternating fit passes
     its previous basis).  Given it, the eigenpairs come from
     Chebyshev-filtered block subspace iteration from ``start * s``, at
-    O(n^2 c) per product with ``G`` (see ``_subspace_iteration``).  Without
-    one, or when the iteration does not converge within its budget of 45
-    products (about the time of one subset ``eigh`` at n = 300; it gives up
-    sooner when its rate of convergence shows it would not, and ``gave_up``
-    is then True), they come from a subset ``eigh`` at O(n^3).
+    O(n^2 c) per product with ``G`` (see ``_subspace_iteration``); without
+    one, from the range-finder block ``(G @ Omega).T``, with ``Omega`` an
+    n-by-c Gaussian block drawn from a fixed seed, so a call's result
+    depends on its input alone.  When the iteration does not converge within
+    its budget of 45 products (about the time of one subset ``eigh`` at
+    n = 300; it gives up sooner when its rate of convergence shows it would
+    not), they come from scipy's subset ``eigh`` at O(n^3), and ``gave_up``
+    is True if the call had a start block.  A Gram of order up to
+    ``_SMALL_GRAM`` with no start block, or whose iteration gives up, takes
+    numpy's full ``eigh``, which costs no more there.
     """
     s = np.sqrt(weights)
     G = np.multiply(gram, s)
     G *= s[:, None]
     if not np.all(np.isfinite(G)):
         return None, False
-    pairs = None if start is None else _subspace_iteration(G, s * start, c)
+    n = G.shape[0]
+    if start is not None:
+        block = s * start
+    elif n > _SMALL_GRAM:
+        # A range-finder start: the Gram applied to a fixed Gaussian block.
+        block = (G @ np.random.default_rng(0).standard_normal((n, c))).T
+    else:
+        block = None
+    pairs = None if block is None else _subspace_iteration(G, block, c)
     gave_up = start is not None and pairs is None
     if pairs is None:
-        # G.T is the Fortran-ordered view that LAPACK overwrites without a
-        # copy; it equals G up to the last bit of the scaling.
-        n = G.shape[0]
-        evals, V = scipy.linalg.eigh(G.T, subset_by_index=[n - c - 1, n - 1],
-                                     overwrite_a=True, check_finite=False)
-        pairs = evals[::-1], V[:, ::-1]
+        pairs = _direct_eigenpairs(G, c)
     evals, V = pairs
     if not evals[c - 1] - evals[c] > d * _EPS * evals[0]:
         return None, gave_up
     return (evals[:c], s[:, None] * V[:, :c]), gave_up
+
+
+def _direct_eigenpairs(G, c):
+    """Top c+1 eigenpairs of the n-by-n Gram ``G``, descending, by numpy's
+    full ``eigh`` up to order ``_SMALL_GRAM`` and above it by scipy's subset
+    ``eigh``, which may overwrite ``G``: the one place the package loads
+    ``scipy.linalg``."""
+    n = G.shape[0]
+    if n <= _SMALL_GRAM:
+        evals, V = np.linalg.eigh(G)
+    else:
+        from scipy.linalg import eigh
+
+        # G.T is the Fortran-ordered view that LAPACK overwrites without a
+        # copy; it equals G up to the last bit of the scaling.
+        evals, V = eigh(G.T, subset_by_index=[n - c - 1, n - 1], overwrite_a=True,
+                        check_finite=False)
+    return evals[::-1], V[:, ::-1]
 
 
 def _mapped_basis(A, evals, Y, s):

@@ -3,6 +3,7 @@ weighted-scatter eigendecomposition."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from epca import (
     DataMatrix,
@@ -475,3 +476,72 @@ class TestWarmGramEigensolve:
             errors = [np.max(np.abs(vecs @ vecs.T - svd_projector))
                       for _, vecs in (epca.core._mapped_basis(A, *pairs, s) for pairs in (warm, cold))]
             assert errors[0] <= errors[1]
+
+
+def _planted_gram(seed, d, n, r):
+    """The Gram of rank-r data in d features and n samples around offset 5,
+    with noise 0.05 and 10% outlier columns, centred at the sample mean."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((d, r)))[0]
+    X = 5.0 + basis @ (3.0 * rng.standard_normal((r, n))) + 0.05 * rng.standard_normal((d, n))
+    X[:, :n // 10] += rng.standard_normal((d, n // 10))
+    X0 = X - X.mean(axis=1)[:, None]
+    return X0.T @ X0
+
+
+def _subset_eigh(G, c):
+    """The top c eigenpairs of ``G``, descending, by scipy's subset eigh."""
+    n = G.shape[0]
+    evals, V = scipy.linalg.eigh(G, subset_by_index=[n - c - 1, n - 1])
+    return evals[::-1][:c], V[:, ::-1][:, :c]
+
+
+class TestColdGramEigensolve:
+    """The Gram eigensolve with no start block: numpy's full eigh up to
+    order ``_SMALL_GRAM``, above it the filtered iteration from a fixed
+    range-finder block, and scipy's subset eigh only when that gives up."""
+
+    @staticmethod
+    def _iteration_results(monkeypatch):
+        iteration, results = epca.core._subspace_iteration, []
+        monkeypatch.setattr(epca.core, "_subspace_iteration",
+                            lambda *args: results.append(iteration(*args)) or results[-1])
+        return results
+
+    @pytest.mark.parametrize("n", [40, 80, 150, 300])
+    def test_matches_the_subset_eigh(self, n, monkeypatch):
+        c, d = 5, 2 * n
+        gram = _planted_gram(n, d, n, c)
+        w = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        s = np.sqrt(w)
+        results = self._iteration_results(monkeypatch)
+        pairs, gave_up = _gram_eigenpairs(gram, c, w, d)
+        assert not gave_up
+        # Only a Gram above the size threshold runs the iteration; here it
+        # converges.
+        assert len(results) == (n > epca.core._SMALL_GRAM)
+        assert all(result is not None for result in results)
+        evals, V = _subset_eigh(s[:, None] * gram * s, c)
+        np.testing.assert_allclose(pairs[0], evals, rtol=1e-13, atol=0)
+        projector = _subspace_projector(pairs, w)
+        assert np.max(np.abs(projector - V @ V.T)) <= 1e-12
+
+    def test_narrow_gap_gives_up_for_the_subset_eigh(self, monkeypatch):
+        # c = 6 lies above the planted rank 5: lambda_6 / lambda_7 is 1.009,
+        # too narrow for the iteration's budget.
+        n, c = 150, 6
+        gram = _planted_gram(0, 400, n, 5)
+        results = self._iteration_results(monkeypatch)
+        pairs, gave_up = _gram_eigenpairs(gram, c, np.ones(n), 400)
+        assert results == [None] and not gave_up
+        for got, ref in zip(pairs, _subset_eigh(gram, c)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_is_bitwise_deterministic(self):
+        n = 300
+        gram = _planted_gram(1, 600, n, 5)
+        w = np.random.default_rng(1).uniform(0.5, 2.0, n)
+        (evals1, Y1), _ = _gram_eigenpairs(gram, 5, w, 600)
+        (evals2, Y2), _ = _gram_eigenpairs(gram.copy(), 5, w.copy(), 600)
+        np.testing.assert_array_equal(evals1, evals2)
+        np.testing.assert_array_equal(Y1, Y2)

@@ -42,6 +42,13 @@ class TestCorruptionSpec:
         spec = CorruptionSpec(0.1, 0.1, 0, shared_features=np.True_)
         assert spec.shared_features is True
 
+    @pytest.mark.parametrize("fraction", [np.float32(0.25), np.float64(0.25), 1, np.int8(0)])
+    def test_fractions_are_stored_as_plain_floats(self, fraction):
+        spec = CorruptionSpec(fraction, fraction, seed=np.uint32(3))
+        assert type(spec.sample_fraction) is type(spec.feature_fraction) is float
+        assert spec.sample_fraction == float(fraction)
+        assert type(spec.seed) is int and spec.seed == 3
+
 
 class TestCorrupt:
     def test_zero_fractions_are_a_no_op(self):

@@ -365,6 +365,17 @@ class TestRunExperiment:
         assert first == second
         assert '"wall_clock_s"' not in first
 
+    def test_numpy_scalar_settings_give_a_json_payload(self, tmp_path):
+        cfg = _config(_data_csv(tmp_path, d=4),
+                      corruption=CorruptionSpec(np.float32(0.25), np.float64(0.2),
+                                                seed=np.int64(0)))
+        report = run_experiment(cfg)
+        assert not report.any_failures
+        echo = json.loads(report.canonical_payload())["config"]["corruption"]
+        assert echo == {"sample_fraction": 0.25, "feature_fraction": 0.2,
+                        "shared_features": False}
+        json.dumps(report.payload())
+
     def test_labels_fill_mean_accuracy(self, tmp_path):
         cfg = _labelled_config(tmp_path, methods=["epca"])
         report = run_experiment(cfg)

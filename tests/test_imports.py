@@ -3,7 +3,9 @@ module-level private definition is referenced somewhere in the package,
 array arguments are converted by ``core.real_array`` alone, integer
 arguments are checked by the rules in ``core`` alone, every function
 that the benchmark's tracer wraps still exists, and only scoring clusters
-loads ``scipy.optimize``."""
+loads ``scipy.optimize``: fits (a wide one whose Gram is large enough for
+the filtered iteration among them) and the CLI steps that score no clusters
+load neither it nor ``scipy.linalg``."""
 
 import ast
 import importlib.util
@@ -166,7 +168,7 @@ import epca.cli
 from epca import (CorruptionSpec, DataMatrix, ExperimentConfig, LabelVector, SigmaLossParams,
                   clustering_accuracy, corrupt, epca_fit, fit_classical_pca, fit_pca_om,
                   reconstruct, reconstruction_error, run_experiment, transform)
-from epca.core import gram_route
+from epca.core import _SMALL_GRAM, gram_route
 
 tmp = Path(sys.argv[1])
 gen = np.random.default_rng(0)
@@ -180,6 +182,15 @@ for X in (wide, tall):
     X_occ, _, _ = corrupt(X, CorruptionSpec(0.5, 0.5, seed=1))
     reconstruction_error(X, X_occ, model.basis, model.translation)
 
+# Rank-5 data with 10% outlier columns, whose Gram is too large for the
+# direct eigh: every basis step runs the filtered iteration.
+basis = np.linalg.qr(gen.normal(size=(600, 5)))[0]
+planted = 5.0 + basis @ (3.0 * gen.normal(size=(5, 200))) + 0.05 * gen.normal(size=(600, 200))
+planted[:, :20] += gen.normal(size=(600, 20))
+assert gram_route(600, 200, 5) and 200 > _SMALL_GRAM
+assert epca_fit(planted, 5, SigmaLossParams(1.0)).iterations > 1
+fit_classical_pca(planted, 5)
+
 data, occluded, model = tmp / "data.csv", tmp / "occluded.csv", tmp / "model.json"
 np.savetxt(data, gen.normal(size=(30, 5)), delimiter=",")
 run_experiment(ExperimentConfig(str(data), ["classical_pca", "epca", "pca_om"], [2], [1.0],
@@ -191,6 +202,7 @@ for argv in (["corrupt", "--input", str(data), "--out", str(occluded)],
              ["eval", "--clean", str(data), "--occluded", str(occluded), "--model", str(model)]):
     assert epca.cli.main(argv) == 0, argv
 assert "scipy.optimize" not in sys.modules
+assert "scipy.linalg" not in sys.modules
 
 accuracy = clustering_accuracy([1, 1, 0, 0, 0], LabelVector.from_raw([0, 0, 1, 1, 0]))
 assert "scipy.optimize" in sys.modules
@@ -200,7 +212,8 @@ assert accuracy == 0.8, accuracy
 
 def test_only_scoring_clusters_loads_scipy_optimize(tmp_path):
     # Fitting, corrupting, reconstructing and reconstruction scoring run in a
-    # fresh interpreter, since this session has loaded scipy.optimize already.
+    # fresh interpreter, since the test process has loaded scipy.optimize and
+    # scipy.linalg already.
     src = str(Path(epca.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -389,17 +389,18 @@ def _gram_and_dense_fits(X, c, monkeypatch):
 
 def test_gram_route_fit_with_outlier_columns_matches_the_dense_fit(monkeypatch):
     # Every basis step after the first starts from the previous basis and
-    # converges without the subset eigensolve, which runs once per fit.
+    # converges without the direct eigensolve (numpy's full eigh at n = 60),
+    # which runs once per fit, for the first step.
     rng = np.random.default_rng(24)
     d, n, c = 300, 60, 5
     X = _noisy_low_rank(rng, d=d, n=n, c=c).values
     X[:, :6] = 10.0 * rng.standard_normal((d, 6))  # 10% outlier columns
-    eigh, subset_calls = epca.core.scipy.linalg.eigh, []
+    direct, direct_calls = epca.core._direct_eigenpairs, []
     with monkeypatch.context() as m:
-        m.setattr(epca.core.scipy.linalg, "eigh",
-                  lambda *args, **kw: subset_calls.append(1) or eigh(*args, **kw))
+        m.setattr(epca.core, "_direct_eigenpairs",
+                  lambda G, c: direct_calls.append(G.shape) or direct(G, c))
         routed, dense = _gram_and_dense_fits(X, c, monkeypatch)
-    assert len(subset_calls) == 1
+    assert direct_calls == [(n, n)]
     assert routed.iterations == dense.iterations > 1
     np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
     W, W_dense = routed.model.basis, dense.model.basis
@@ -472,7 +473,7 @@ def test_failed_n_space_repair_takes_the_d_space_step(monkeypatch):
 def test_warm_eigensolve_is_dropped_once_it_gives_up(monkeypatch):
     # Rank-10 data fitted at c = 5: the gap at c is narrow, the warm
     # iteration from the previous basis gives up on the first basis step,
-    # and every later step goes straight to the subset eigh.
+    # and every later step goes straight to the direct eigh.
     rng = np.random.default_rng(1)
     B = np.linalg.qr(rng.standard_normal((200, 10)))[0]
     X = 5.0 + B @ (3.0 * rng.standard_normal((10, 60))) + 0.05 * rng.standard_normal((200, 60))

@@ -14,9 +14,9 @@ previous basis).  Its eigenpairs come from Chebyshev-filtered block subspace
 iteration at O(n^2 c) per product with the Gram, from that block or, without
 one, from the Gram applied to a fixed Gaussian block.  A Gram of order up to
 ``_SMALL_GRAM`` takes numpy's full ``eigh`` instead when it has no start
-block, and a larger one scipy's subset ``eigh`` at O(n^3) when the iteration
-gives up, which it does once it would cost more than that ``eigh``; only
-that branch loads ``scipy.linalg``."""
+block or the iteration gives up, and a larger one scipy's subset ``eigh`` at
+O(n^3) when the iteration gives up, which it does once it would cost more
+than that ``eigh``; only that branch loads ``scipy.linalg``."""
 
 from __future__ import annotations
 
@@ -43,12 +43,27 @@ _SETTLE_STEPS = 4
 _RES_TOL = 1e-14
 _GAP_TOL = 1e-13
 # The largest Gram order whose eigenpairs come from numpy's full eigh when
-# there is no start block.  On planted rank-10 Grams at c = 10 (one BLAS
-# thread, best of 60) the full eigh takes 0.23, 0.83 and 1.2 ms at n = 40,
-# 80 and 100, against 0.32, 0.79 and 0.89 ms for scipy's subset eigh and
-# 1.7-2.0 ms for the iteration from a range-finder block; at n = 300 the
-# iteration takes 5.7 ms, the subset eigh 6.3 ms and the full eigh 9.7 ms.
-_SMALL_GRAM = 100
+# there is no start block, and when the iteration gives up; above it such a
+# call runs the iteration from a range-finder block, and a give-up takes
+# scipy's subset eigh.  Set where whole wide fits cross (d = 400, rank 5,
+# 10% outlier columns, seeds 0-2, one BLAS thread; sums of best-of-7 fit
+# times in ms with every such call by the full eigh, or by the iteration and
+# the subset eigh):
+#   n                       60    70    80    90   100   125   150   200
+#   c = 6..9  full eigh    137   192   252   274   360   412   713  1403
+#             iteration    154   205   226   227   272   275   423   621
+#   c = 5     full eigh   17.9  16.6  16.9  16.7  17.2  22.9  21.6  31.0
+#             iteration   19.4  17.9  17.7  17.4  17.0  21.2  18.0  21.9
+# Above the rank the warm start gives up and every later step has no start
+# block; its Grams, with the outlier columns weighted down, converge in a
+# few steps.  A single call on a first-step Gram (d = 4n, rank c, 10%
+# outlier columns, three seeds, best of 40) crosses later, at n = 150-175:
+# full eigh / iteration / subset eigh alone, in ms, at c = 10 and n = 40,
+# 80, 100, 150, 200 and 300: 0.16/1.10/0.23, 0.54/1.24/0.52, 0.89/1.51/0.74,
+# 1.88/2.43/1.45, 3.38/2.27/2.21 and 8.99/4.06/4.44.  No benchmark workload
+# has a wide Gram below order 300, so only these timings and the tests cover
+# the choice.
+_SMALL_GRAM = 80
 
 
 @dataclass
@@ -289,8 +304,10 @@ def _gram_eigenpairs(gram, c, weights, d, start=None):
     n = 300; it gives up sooner when its rate of convergence shows it would
     not), they come from scipy's subset ``eigh`` at O(n^3), and ``gave_up``
     is True if the call had a start block.  A Gram of order up to
-    ``_SMALL_GRAM`` with no start block, or whose iteration gives up, takes
-    numpy's full ``eigh``, which costs no more there.
+    ``_SMALL_GRAM`` takes numpy's full ``eigh`` in place of the subset one,
+    and runs the iteration only from a start block: there a wide fit runs
+    faster with the full ``eigh`` than with the iteration from a
+    range-finder block.
     """
     s = np.sqrt(weights)
     G = np.multiply(gram, s)

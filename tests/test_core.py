@@ -402,6 +402,13 @@ def _subspace_projector(evals_and_block, w):
     return V @ V.T
 
 
+def _subset_eigh(G, c):
+    """The top c eigenpairs of ``G``, descending, by scipy's subset eigh."""
+    n = G.shape[0]
+    evals, V = scipy.linalg.eigh(G, subset_by_index=[n - c - 1, n - 1])
+    return evals[::-1][:c], V[:, ::-1][:, :c]
+
+
 class TestWarmGramEigensolve:
     """The Chebyshev-filtered subspace iteration that the wide fit starts
     from its previous basis."""
@@ -437,23 +444,25 @@ class TestWarmGramEigensolve:
         assert len(calls) >= 4
         qr = np.linalg.qr
         for gram, c, w, d, start in calls:
-            cold, _ = _gram_eigenpairs(gram, c, w, d)
+            s = np.sqrt(w)
+            evals, V = _subset_eigh(s[:, None] * gram * s, c)
             qrs = []
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "qr", lambda *args: qrs.append(1) or qr(*args))
                 warm, gave_up = _gram_eigenpairs(gram, c, w, d, start)
             assert not gave_up and len(qrs) <= 6
-            np.testing.assert_allclose(warm[0], cold[0], rtol=1e-13, atol=0)
-            assert np.max(np.abs(_subspace_projector(warm, w) - _subspace_projector(cold, w))) <= 1e-12
+            np.testing.assert_allclose(warm[0], evals, rtol=1e-13, atol=0)
+            assert np.max(np.abs(_subspace_projector(warm, w) - V @ V.T)) <= 1e-12
 
     def test_ill_conditioned_data_reach_the_subset_eigh_or_give_up(self):
         # The data of test_ill_conditioned_wide_data_stays_orthonormal,
         # started from a basis near the top five directions.  The stopping
         # test's gap tolerance lies below the residuals' rounding floor
         # (eps * lambda_1) at every spread here, so each call gives up and
-        # returns the subset eigh's pairs; a call that converged would have
-        # to match them.  Neither may map to a basis farther from the SVD of
-        # the weighted data than the subset eigh's.
+        # returns the direct eigh's pairs (numpy's full eigh at this order,
+        # 30, below _SMALL_GRAM); a call that converged would have to match
+        # them.  Neither may map to a basis farther from the SVD of the
+        # weighted data than the direct eigh's.
         rng = np.random.default_rng(12)
         U = np.linalg.qr(rng.standard_normal((80, 30)))[0]
         V = np.linalg.qr(rng.standard_normal((30, 30)))[0]
@@ -489,13 +498,6 @@ def _planted_gram(seed, d, n, r):
     return X0.T @ X0
 
 
-def _subset_eigh(G, c):
-    """The top c eigenpairs of ``G``, descending, by scipy's subset eigh."""
-    n = G.shape[0]
-    evals, V = scipy.linalg.eigh(G, subset_by_index=[n - c - 1, n - 1])
-    return evals[::-1][:c], V[:, ::-1][:, :c]
-
-
 class TestColdGramEigensolve:
     """The Gram eigensolve with no start block: numpy's full eigh up to
     order ``_SMALL_GRAM``, above it the filtered iteration from a fixed
@@ -508,7 +510,7 @@ class TestColdGramEigensolve:
                             lambda *args: results.append(iteration(*args)) or results[-1])
         return results
 
-    @pytest.mark.parametrize("n", [40, 80, 150, 300])
+    @pytest.mark.parametrize("n", [40, 80, 100, 150, 300])
     def test_matches_the_subset_eigh(self, n, monkeypatch):
         c, d = 5, 2 * n
         gram = _planted_gram(n, d, n, c)
@@ -530,6 +532,7 @@ class TestColdGramEigensolve:
         # c = 6 lies above the planted rank 5: lambda_6 / lambda_7 is 1.009,
         # too narrow for the iteration's budget.
         n, c = 150, 6
+        assert n > epca.core._SMALL_GRAM
         gram = _planted_gram(0, 400, n, 5)
         results = self._iteration_results(monkeypatch)
         pairs, gave_up = _gram_eigenpairs(gram, c, np.ones(n), 400)

@@ -10,13 +10,13 @@ is repaired by one Rayleigh-Ritz step, and the route falls through to a full
 ``eigh`` of the d-by-d scatter on an overflow or an eigenvalue tie at the c
 boundary.  The Gram eigensolve itself, ``_gram_eigenpairs``, is shared with
 the alternating fit, which keeps its own Gram and passes a start block (its
-previous basis).  Its eigenpairs come from Chebyshev-filtered block subspace
-iteration at O(n^2 c) per product with the Gram, from that block or, without
-one, from the Gram applied to a fixed Gaussian block.  A Gram of order up to
-``_SMALL_GRAM`` takes numpy's full ``eigh`` instead when it has no start
-block or the iteration gives up, and a larger one scipy's subset ``eigh`` at
-O(n^3) when the iteration gives up, which it does once it would cost more
-than that ``eigh``; only that branch loads ``scipy.linalg``."""
+previous coordinates).  The Gram's order alone picks the solver: up to
+``_SMALL_GRAM`` numpy's full ``eigh``; above it Chebyshev-filtered block
+subspace iteration at O(n^2 c) per product with the Gram, from the start
+block or, without one, from the Gram applied to a fixed Gaussian block, and
+scipy's subset ``eigh`` at O(n^3) when the iteration gives up, which it does
+once it would cost more than that ``eigh``; only that branch loads
+``scipy.linalg``."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 _EPS = np.finfo(float).eps
-# The warm-started Gram iteration: the degree of its Chebyshev filter, its
+# The filtered Gram iteration: the degree of its Chebyshev filter, its
 # budget of products with the Gram, the Rayleigh-Ritz steps before its rate
 # of convergence is trusted, then its stopping tolerances relative to
 # lambda_1 and to the gap at the c boundary.  At n = 300 and c = 10 (one BLAS
@@ -42,27 +42,21 @@ _MAX_PRODUCTS = 45
 _SETTLE_STEPS = 4
 _RES_TOL = 1e-14
 _GAP_TOL = 1e-13
-# The largest Gram order whose eigenpairs come from numpy's full eigh when
-# there is no start block, and when the iteration gives up; above it such a
-# call runs the iteration from a range-finder block, and a give-up takes
-# scipy's subset eigh.  Set where whole wide fits cross (d = 400, rank 5,
-# 10% outlier columns, seeds 0-2, one BLAS thread; sums of best-of-7 fit
-# times in ms with every such call by the full eigh, or by the iteration and
-# the subset eigh):
-#   n                       60    70    80    90   100   125   150   200
-#   c = 6..9  full eigh    137   192   252   274   360   412   713  1403
-#             iteration    154   205   226   227   272   275   423   621
-#   c = 5     full eigh   17.9  16.6  16.9  16.7  17.2  22.9  21.6  31.0
-#             iteration   19.4  17.9  17.7  17.4  17.0  21.2  18.0  21.9
-# Above the rank the warm start gives up and every later step has no start
-# block; its Grams, with the outlier columns weighted down, converge in a
-# few steps.  A single call on a first-step Gram (d = 4n, rank c, 10%
-# outlier columns, three seeds, best of 40) crosses later, at n = 150-175:
-# full eigh / iteration / subset eigh alone, in ms, at c = 10 and n = 40,
-# 80, 100, 150, 200 and 300: 0.16/1.10/0.23, 0.54/1.24/0.52, 0.89/1.51/0.74,
-# 1.88/2.43/1.45, 3.38/2.27/2.21 and 8.99/4.06/4.44.  No benchmark workload
-# has a wide Gram below order 300, so only these timings and the tests cover
-# the choice.
+# The largest Gram order whose eigenpairs come from numpy's full eigh, with
+# or without a start block; above it every call runs the iteration.  Whole
+# wide fits (d = 400, rank 5, 10% outlier columns, seeds 0-2, sigma = 1,
+# one BLAS thread; sums of best-of-15 fit times in ms with every Gram call
+# by the full eigh, or by the iteration and the subset eigh):
+#   n                       40    60    70    80    90   100   125   150   200
+#   c = 5     full eigh   22.9  18.5  21.0  23.1  22.9  26.9  34.8  48.7  77.4
+#             iteration   38.7  18.7  18.9  17.3  15.9  16.1  16.1  17.2  20.5
+#   c = 6..9  full eigh    108   125   184   257   376   428   469   788  1324
+#             iteration    174   138   163   193   243   258   243   359   548
+# These cross between n = 60 and 70.  Thresholds of 64 and 72 made epca_fit
+# at n = 80 (d = 320, c = 5 and 7) about 24% faster than 80 did, but
+# fit_pca_om there and epca_fit at n = 60 1-3% slower, so 80 is kept.
+# No benchmark workload has a wide Gram below order 300, so only these
+# timings and the tests cover the choice.
 _SMALL_GRAM = 80
 
 
@@ -271,7 +265,7 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
 
     if gram_route(d, n, c):
         # numpy forms A.T @ A by a symmetric rank-k update.
-        pairs, _ = _gram_eigenpairs(A.T @ A, c, w, d)
+        pairs = _gram_eigenpairs(A.T @ A, c, w, d)
         if pairs is not None:
             return _mapped_basis(A, *pairs, np.sqrt(w))
     # A non-finite Gram or a tie at the boundary falls through to the
@@ -283,70 +277,57 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
 
 def _gram_eigenpairs(gram, c, weights, d, start=None):
     """Top-c eigenpairs of the weighted scatter of d-by-n data ``A``, read
-    from its Gram ``gram = A.T @ A`` (only read): ``(pairs, gave_up)``.
-
-    ``pairs`` is ``(lambda, Y)``: the c largest eigenvalues, descending, and
-    the n-by-c block ``Y = s * v`` with ``s = sqrt(weights)`` and ``v`` the
-    eigenvectors of ``G = diag(s) gram diag(s)``, so that the scatter's
-    eigenvectors are ``A @ Y / sqrt(lambda)``.  ``pairs`` is None when ``G``
-    is not finite or has no gap above rounding between its c-th and
+    from its Gram ``gram = A.T @ A`` (only read): ``(lambda, Y)``, with the c
+    largest eigenvalues, descending, and ``Y = s * v``, ``v`` the n-by-c
+    eigenvectors of ``G = diag(s) gram diag(s)``, ``s = sqrt(weights)``, so
+    that the scatter's eigenvectors are ``A @ Y / sqrt(lambda)``.  None when
+    ``G`` is not finite or has no gap above rounding between its c-th and
     (c+1)-th eigenvalues.
 
-    ``start``, optional, is the c-by-n block ``W.T @ A`` of the data's
-    coordinates in an approximate basis ``W`` (the alternating fit passes
-    its previous basis).  Given it, the eigenpairs come from
-    Chebyshev-filtered block subspace iteration from ``start * s``, at
-    O(n^2 c) per product with ``G`` (see ``_subspace_iteration``); without
-    one, from the range-finder block ``(G @ Omega).T``, with ``Omega`` an
-    n-by-c Gaussian block drawn from a fixed seed, so a call's result
-    depends on its input alone.  When the iteration does not converge within
-    its budget of 45 products (about the time of one subset ``eigh`` at
-    n = 300; it gives up sooner when its rate of convergence shows it would
-    not), they come from scipy's subset ``eigh`` at O(n^3), and ``gave_up``
-    is True if the call had a start block.  A Gram of order up to
-    ``_SMALL_GRAM`` takes numpy's full ``eigh`` in place of the subset one,
-    and runs the iteration only from a start block: there a wide fit runs
-    faster with the full ``eigh`` than with the iteration from a
-    range-finder block.
+    The order n of ``G`` alone picks the solver.  Up to ``_SMALL_GRAM`` it
+    is numpy's full ``eigh``.  Above it, Chebyshev-filtered block subspace
+    iteration (``_subspace_iteration``) runs from ``s * start``, with
+    ``start`` the c-by-n block ``W.T @ A`` of the data's coordinates in an
+    approximate basis ``W`` (the alternating fit passes its previous
+    coordinates), or without one from the range-finder block
+    ``(G @ Omega).T``, ``Omega`` an n-by-c Gaussian block from a fixed seed,
+    so a call's result depends on its input alone.  When the iteration
+    gives up (within 45 products with ``G``, about the time of one subset
+    ``eigh`` at n = 300), scipy's subset ``eigh`` at O(n^3) gives the pairs.
     """
     s = np.sqrt(weights)
     G = np.multiply(gram, s)
     G *= s[:, None]
     if not np.all(np.isfinite(G)):
-        return None, False
-    n = G.shape[0]
-    if start is not None:
-        block = s * start
-    elif n > _SMALL_GRAM:
-        # A range-finder start: the Gram applied to a fixed Gaussian block.
-        block = (G @ np.random.default_rng(0).standard_normal((n, c))).T
-    else:
-        block = None
-    pairs = None if block is None else _subspace_iteration(G, block, c)
-    gave_up = start is not None and pairs is None
-    if pairs is None:
-        pairs = _direct_eigenpairs(G, c)
-    evals, V = pairs
-    if not evals[c - 1] - evals[c] > d * _EPS * evals[0]:
-        return None, gave_up
-    return (evals[:c], s[:, None] * V[:, :c]), gave_up
-
-
-def _direct_eigenpairs(G, c):
-    """Top c+1 eigenpairs of the n-by-n Gram ``G``, descending, by numpy's
-    full ``eigh`` up to order ``_SMALL_GRAM`` and above it by scipy's subset
-    ``eigh``, which may overwrite ``G``: the one place the package loads
-    ``scipy.linalg``."""
+        return None
     n = G.shape[0]
     if n <= _SMALL_GRAM:
         evals, V = np.linalg.eigh(G)
+        evals, V = evals[::-1], V[:, ::-1]
     else:
-        from scipy.linalg import eigh
+        if start is None:
+            # A range-finder start: the Gram applied to a fixed Gaussian block.
+            block = (G @ np.random.default_rng(0).standard_normal((n, c))).T
+        else:
+            block = s * start
+        pairs = _subspace_iteration(G, block, c)
+        evals, V = _direct_eigenpairs(G, c) if pairs is None else pairs
+    if not evals[c - 1] - evals[c] > d * _EPS * evals[0]:
+        return None
+    return evals[:c], s[:, None] * V[:, :c]
 
-        # G.T is the Fortran-ordered view that LAPACK overwrites without a
-        # copy; it equals G up to the last bit of the scaling.
-        evals, V = eigh(G.T, subset_by_index=[n - c - 1, n - 1], overwrite_a=True,
-                        check_finite=False)
+
+def _direct_eigenpairs(G, c):
+    """Top c+1 eigenpairs of the n-by-n Gram ``G``, descending, by scipy's
+    subset ``eigh``, which may overwrite ``G``: the one place the package
+    loads ``scipy.linalg``."""
+    from scipy.linalg import eigh
+
+    n = G.shape[0]
+    # G.T is the Fortran-ordered view that LAPACK overwrites without a copy;
+    # it equals G up to the last bit of the scaling.
+    evals, V = eigh(G.T, subset_by_index=[n - c - 1, n - 1], overwrite_a=True,
+                    check_finite=False)
     return evals[::-1], V[:, ::-1]
 
 

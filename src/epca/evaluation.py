@@ -101,6 +101,8 @@ def corrupt(X: DataMatrix, spec: CorruptionSpec):
     ``sample_indices[j]``.  Untouched entries are bit-identical to the input
     and the whole draw is reproducible from the spec's seed.
     """
+    if not isinstance(spec, CorruptionSpec):
+        raise ValidationError(f"spec must be a CorruptionSpec, got {spec!r}")
     X = X if isinstance(X, DataMatrix) else DataMatrix(X)
     d, n = X.feature_count, X.sample_count
     n_samples = int(spec.sample_fraction * n)
@@ -288,6 +290,8 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
     """
     if not isinstance(truth, LabelVector):
         raise ValidationError(f"truth must be a LabelVector, got {type(truth).__name__}")
+    if not isinstance(rng, RngHandle):
+        raise ValidationError(f"rng must be an RngHandle, got {rng!r}")
     P = real_array(V, "coordinates", 2)
     k, n = truth.class_count, P.shape[1]
     if not (1 <= k <= n):

@@ -57,11 +57,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.corruption, CorruptionSpec):
             raise ValidationError(f"corruption must be a CorruptionSpec, got {self.corruption!r}")
-        for name, paths in (("input_path", (str, os.PathLike)),
-                            ("labels_path", (str, os.PathLike, type(None)))):
-            if not isinstance(getattr(self, name), paths):
-                raise ValidationError(f"{name} must be a path (str or os.PathLike), "
-                                      f"got {getattr(self, name)!r}")
+        _check_paths(input_path=self.input_path, labels_path=self.labels_path)
         for name in ("methods", "ranks", "sigma_grid", "seeds"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
@@ -116,6 +112,15 @@ class ExperimentReport:
         payload["cells"] = [{k: v for k, v in cell.items() if k != "wall_clock_s"}
                             for cell in self.cells]
         return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _check_paths(**paths):
+    """The rule of the CSV path arguments, given by name: each is a str or
+    ``os.PathLike``, and ``labels_path`` may be None.  ``open`` would take
+    an int for a file descriptor, read it and close it."""
+    for name, value in paths.items():
+        if not (isinstance(value, (str, os.PathLike)) or name == "labels_path" and value is None):
+            raise ValidationError(f"{name} must be a path (str or os.PathLike), got {value!r}")
 
 
 def _parse(rows, rule, message):
@@ -178,8 +183,11 @@ def ingest_csv(path, labels_path=None):
     is not UTF-8 text or that the ``csv`` module cannot read names the file.
     Both are ``IngestionError``.  Returns
     ``(DataMatrix, LabelVector | None)``; the matrix is transposed into the
-    internal columns-are-samples convention.
+    internal columns-are-samples convention.  Each path must be a str or
+    ``os.PathLike`` (``labels_path`` may be None); anything else is a
+    ``ValidationError``.
     """
+    _check_paths(path=path, labels_path=labels_path)
     rows = []
     for row_num, row in _csv_rows(path):
         if rows and len(row) != len(rows[0][1]):
@@ -295,6 +303,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     that shares it, ``wall_clock_s`` included.  A failing fit is recorded in
     its cells with its error message; the remaining cells still run.
     """
+    if not isinstance(cfg, ExperimentConfig):
+        raise ValidationError(f"cfg must be an ExperimentConfig, got {cfg!r}")
     X, labels, occluded = _occluded_inputs(cfg, cfg.ranks)
     clean_digest = hashlib.sha256(X.values.tobytes()).hexdigest()
     grid = itertools.product(cfg.seeds, cfg.methods, cfg.ranks, cfg.sigma_grid)
@@ -331,6 +341,8 @@ def grid_search_sigma(cfg: ExperimentConfig):
     coarse point fails, a ``ValidationError`` names the first one's failure
     and carries the coarse curve as its ``curve`` attribute.
     """
+    if not isinstance(cfg, ExperimentConfig):
+        raise ValidationError(f"cfg must be an ExperimentConfig, got {cfg!r}")
     rank = cfg.ranks[0]
     X, _, occluded = _occluded_inputs(cfg, [rank])
 

@@ -192,8 +192,9 @@ class _GramSteps(_ScatterSteps):
     B`` for an n-by-c block ``B``, the coordinates are ``V = W.T Xc = B'G``,
     the orthonormality test ``W'W = V B`` is c-by-c, the squared residual
     norms are ``diag(G) - |v_i|^2``, and the previous basis's coordinates
-    at the new mean, the start of the warm eigensolve, are ``V - (V beta)
-    1'``.  Only the last step maps ``B`` to d-space, in :meth:`model`.
+    at the new mean are ``V - (V beta) 1'``: every step after the first
+    passes them as the eigensolve's start block.  Only the last step maps
+    ``B`` to d-space, in :meth:`model`.
 
     Two guards keep the accuracy of a Gram formed afresh.  Column i of the
     update carries a rounding error of about eps times ``b_i = K_ii +
@@ -218,9 +219,6 @@ class _GramSteps(_ScatterSteps):
         self.m = X.mean(axis=1)
         X0 = X - self.m[:, None]
         self.K = X0.T @ X0
-        # The warm eigensolve is dropped for the rest of the fit once it
-        # gives up: the gap at c stays as narrow from step to step.
-        self.warm = True
         self.beta = None
         eta = np.ones(X.shape[1])
         if not self._gram_step(self.K, self.K.diagonal(), eta, None):
@@ -245,15 +243,13 @@ class _GramSteps(_ScatterSteps):
             G = K - a
             G -= a[:, None]
             G += ab
-        start = self.V - (self.V @ beta)[:, None] if self.warm else None
-        if not self._gram_step(G, bound, eta, start):
+        if not self._gram_step(G, bound, eta, self.V - (self.V @ beta)[:, None]):
             self._scatter_step(self.X @ beta, eta)
         return self.rn
 
     def _gram_step(self, G, bound, eta, start):
         """The step on the centred Gram ``G``; False when it has no basis."""
-        pairs, gave_up = _gram_eigenpairs(G, self.c, eta, self.X.shape[0], start)
-        self.warm = self.warm and not gave_up
+        pairs = _gram_eigenpairs(G, self.c, eta, self.X.shape[0], start)
         self.pairs = None
         if pairs is None:
             return False
@@ -316,6 +312,8 @@ def epca_fit(X: DataMatrix, c: int, p: SigmaLossParams, tol: float = 1e-8,
 
 def transform(model: SubspaceModel, Y) -> np.ndarray:
     """Project samples (columns of Y) onto the model: W^T (Y - m 1^T)."""
+    if not isinstance(model, SubspaceModel):
+        raise ValidationError(f"model must be a SubspaceModel, got {model!r}")
     Yv = Y.values if isinstance(Y, DataMatrix) else real_array(Y, "samples", 2, finite=False)
     if Yv.shape[0] != model.basis.shape[0]:
         raise DimensionError(
@@ -326,6 +324,8 @@ def transform(model: SubspaceModel, Y) -> np.ndarray:
 
 def reconstruct(model: SubspaceModel, V) -> np.ndarray:
     """Map coordinates back to feature space: W V + m 1^T."""
+    if not isinstance(model, SubspaceModel):
+        raise ValidationError(f"model must be a SubspaceModel, got {model!r}")
     V = real_array(V, "coordinates", 2, finite=False)
     if V.shape[0] != model.target_rank:
         raise DimensionError(

@@ -349,24 +349,28 @@ class TestTopEigenpairsWeighted:
         # is never positive.  Each gives up within ``steps`` QRs (one per
         # Rayleigh-Ritz step) and ``products`` Gram products (1 + 3 per
         # filtered step, at most the budget of 45) and falls back to the
-        # subset eigh (the tie then has no gap, and no pairs).
+        # subset eigh (the tie then has no gap, and no pairs).  The cold
+        # call, from the range-finder block, gives up too and takes the same
+        # subset eigh.  The Gram's order lies above _SMALL_GRAM, so both
+        # calls run the iteration.
+        n = 100
+        assert n > epca.core._SMALL_GRAM
         rng = np.random.default_rng(13)
-        U = np.linalg.qr(rng.standard_normal((40, 20)))[0]
-        V = np.linalg.qr(rng.standard_normal((20, 20)))[0]
-        A = (U * np.concatenate([spectrum, np.full(20 - len(spectrum), 0.5)])) @ V.T
-        start = rng.standard_normal((c, 20))
-        cold, cold_gave_up = _gram_eigenpairs(A.T @ A, c, np.ones(20), 40)
+        U = np.linalg.qr(rng.standard_normal((2 * n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = (U * np.concatenate([spectrum, np.full(n - len(spectrum), 0.5)])) @ V.T
+        start = rng.standard_normal((c, n))
+        cold = _gram_eigenpairs(A.T @ A, c, np.ones(n), 2 * n)
         iteration, results, qrs, gram_products = epca.core._subspace_iteration, [], [], []
         monkeypatch.setattr(epca.core, "_subspace_iteration", lambda G, B, c: results.append(
             iteration(_counted(G, gram_products), B, c)) or results[-1])
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *args: qrs.append(1) or qr(*args))
-        warm, gave_up = _gram_eigenpairs(A.T @ A, c, np.ones(20), 40, start)
+        warm = _gram_eigenpairs(A.T @ A, c, np.ones(n), 2 * n, start)
         assert (cold is None) == (warm is None) == (spectrum[c - 1] == spectrum[c])
         for got, ref in zip(warm or (), cold or ()):
             np.testing.assert_array_equal(got, ref)
-        assert results[0] is None and len(qrs) <= steps and len(gram_products) <= products
-        assert gave_up and not cold_gave_up
+        assert results == [None] and len(qrs) <= steps and len(gram_products) <= products
 
     @pytest.mark.parametrize("layout", ["array", "read-only"])
     def test_gram_is_only_read(self, layout):
@@ -375,7 +379,7 @@ class TestTopEigenpairsWeighted:
         gram = K.copy()
         if layout == "read-only":
             gram.flags.writeable = False
-        (evals, Y), _ = _gram_eigenpairs(gram, 4, w, 40)
+        evals, Y = _gram_eigenpairs(gram, 4, w, 40)
         np.testing.assert_array_equal(gram, K)
         for got_part, ref_part in zip(epca.core._mapped_basis(A, evals, Y, np.sqrt(w)),
                                       top_eigenpairs(A, 4, w)):
@@ -442,48 +446,57 @@ class TestWarmGramEigensolve:
         # most 6 guards against sliding back to it.
         calls = self._warm_calls(monkeypatch)
         assert len(calls) >= 4
-        qr = np.linalg.qr
+        qr, iteration = np.linalg.qr, epca.core._subspace_iteration
         for gram, c, w, d, start in calls:
             s = np.sqrt(w)
             evals, V = _subset_eigh(s[:, None] * gram * s, c)
-            qrs = []
+            qrs, results = [], []
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "qr", lambda *args: qrs.append(1) or qr(*args))
-                warm, gave_up = _gram_eigenpairs(gram, c, w, d, start)
-            assert not gave_up and len(qrs) <= 6
+                m.setattr(epca.core, "_subspace_iteration",
+                          lambda *args: results.append(iteration(*args)) or results[-1])
+                warm = _gram_eigenpairs(gram, c, w, d, start)
+            assert results[0] is not None and len(qrs) <= 6
             np.testing.assert_allclose(warm[0], evals, rtol=1e-13, atol=0)
             assert np.max(np.abs(_subspace_projector(warm, w) - V @ V.T)) <= 1e-12
 
-    def test_ill_conditioned_data_reach_the_subset_eigh_or_give_up(self):
-        # The data of test_ill_conditioned_wide_data_stays_orthonormal,
+    def test_ill_conditioned_data_reach_the_subset_eigh_or_give_up(self, monkeypatch):
+        # The spectrum of test_ill_conditioned_wide_data_stays_orthonormal,
+        # at a Gram order above _SMALL_GRAM (100 samples in 200 features),
         # started from a basis near the top five directions.  The stopping
         # test's gap tolerance lies below the residuals' rounding floor
         # (eps * lambda_1) at every spread here, so each call gives up and
-        # returns the direct eigh's pairs (numpy's full eigh at this order,
-        # 30, below _SMALL_GRAM); a call that converged would have to match
-        # them.  Neither may map to a basis farther from the SVD of the
-        # weighted data than the direct eigh's.
+        # returns the subset eigh's pairs; a call that converged would have
+        # to match them.  Neither may map to a basis farther from the SVD of
+        # the weighted data than the subset eigh's.
+        d, n = 200, 100
         rng = np.random.default_rng(12)
-        U = np.linalg.qr(rng.standard_normal((80, 30)))[0]
-        V = np.linalg.qr(rng.standard_normal((30, 30)))[0]
-        tail = 0.1 * rng.uniform(0.1, 1.0, 25)
-        w = rng.uniform(0.5, 2.0, 30)
+        U = np.linalg.qr(rng.standard_normal((d, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        tail = 0.1 * rng.uniform(0.1, 1.0, n - 5)
+        w = rng.uniform(0.5, 2.0, n)
         s = np.sqrt(w)
+        iteration, results = epca.core._subspace_iteration, []
         for spread in (1e2, 1e3, 1e4, 1e5, 1e6):
             A = (U * np.concatenate([np.geomspace(spread, 1.0, 5), tail])) @ V.T
-            near = np.linalg.qr(U[:, :5] + 1e-3 * rng.standard_normal((80, 5)))[0]
-            cold, _ = _gram_eigenpairs(A.T @ A, 5, w, 80)
-            warm, gave_up = _gram_eigenpairs(A.T @ A, 5, w, 80, near.T @ A)
-            if gave_up:
-                for got, ref in zip(warm, cold):
+            near = np.linalg.qr(U[:, :5] + 1e-3 * rng.standard_normal((d, 5)))[0]
+            with monkeypatch.context() as m:
+                m.setattr(epca.core, "_subspace_iteration", lambda *args: None)
+                direct = _gram_eigenpairs(A.T @ A, 5, w, d)
+            with monkeypatch.context() as m:
+                m.setattr(epca.core, "_subspace_iteration",
+                          lambda *args: results.append(iteration(*args)) or results[-1])
+                warm = _gram_eigenpairs(A.T @ A, 5, w, d, near.T @ A)
+            if results[-1] is None:
+                for got, ref in zip(warm, direct):
                     np.testing.assert_array_equal(got, ref)
             else:
-                gap = np.max(np.abs(_subspace_projector(warm, w) - _subspace_projector(cold, w)))
+                gap = np.max(np.abs(_subspace_projector(warm, w) - _subspace_projector(direct, w)))
                 assert gap <= 1e-12
             svd_vecs = np.linalg.svd(A * s, full_matrices=False)[0][:, :5]
             svd_projector = svd_vecs @ svd_vecs.T
             errors = [np.max(np.abs(vecs @ vecs.T - svd_projector))
-                      for _, vecs in (epca.core._mapped_basis(A, *pairs, s) for pairs in (warm, cold))]
+                      for _, vecs in (epca.core._mapped_basis(A, *pairs, s) for pairs in (warm, direct))]
             assert errors[0] <= errors[1]
 
 
@@ -517,8 +530,7 @@ class TestColdGramEigensolve:
         w = np.random.default_rng(n).uniform(0.5, 2.0, n)
         s = np.sqrt(w)
         results = self._iteration_results(monkeypatch)
-        pairs, gave_up = _gram_eigenpairs(gram, c, w, d)
-        assert not gave_up
+        pairs = _gram_eigenpairs(gram, c, w, d)
         # Only a Gram above the size threshold runs the iteration; here it
         # converges.
         assert len(results) == (n > epca.core._SMALL_GRAM)
@@ -535,8 +547,8 @@ class TestColdGramEigensolve:
         assert n > epca.core._SMALL_GRAM
         gram = _planted_gram(0, 400, n, 5)
         results = self._iteration_results(monkeypatch)
-        pairs, gave_up = _gram_eigenpairs(gram, c, np.ones(n), 400)
-        assert results == [None] and not gave_up
+        pairs = _gram_eigenpairs(gram, c, np.ones(n), 400)
+        assert results == [None]
         for got, ref in zip(pairs, _subset_eigh(gram, c)):
             np.testing.assert_array_equal(got, ref)
 
@@ -544,7 +556,7 @@ class TestColdGramEigensolve:
         n = 300
         gram = _planted_gram(1, 600, n, 5)
         w = np.random.default_rng(1).uniform(0.5, 2.0, n)
-        (evals1, Y1), _ = _gram_eigenpairs(gram, 5, w, 600)
-        (evals2, Y2), _ = _gram_eigenpairs(gram.copy(), 5, w.copy(), 600)
+        evals1, Y1 = _gram_eigenpairs(gram, 5, w, 600)
+        evals2, Y2 = _gram_eigenpairs(gram.copy(), 5, w.copy(), 600)
         np.testing.assert_array_equal(evals1, evals2)
         np.testing.assert_array_equal(Y1, Y2)

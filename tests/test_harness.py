@@ -8,6 +8,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestIngestCsv:
         with pytest.raises(IngestionError) as err:
             ingest_csv(data, labels)
         assert str(err.value) == "row 4: could not parse label '2.5' as an integer"
+
+    def test_a_path_that_is_not_str_or_path_like_is_a_validation_error(self, tmp_path):
+        # open() would take an int for a file descriptor, read it and close it.
+        data = tmp_path / "data.csv"
+        data.write_text("1,2\n3,4\n")
+        r, w = os.pipe()
+        os.write(w, b"1,2\n3,4\n")
+        os.close(w)
+        for args, name in [((r,), "path"), ((None,), "path"), ((True,), "path"),
+                           ((data, r), "labels_path")]:
+            with pytest.raises(ValidationError, match=rf"^{name} must be a path \(str or "
+                                                      rf"os.PathLike\), got {args[-1]!r}$"):
+                ingest_csv(*args)
+        os.close(r)  # raises if ingest_csv closed the descriptor
 
     @pytest.mark.parametrize("content, named", [
         ("café,1\n2,3\n".encode("latin-1"), ": not a UTF-8 text file ('utf-8' codec"),

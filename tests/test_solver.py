@@ -25,9 +25,11 @@ from epca import (
     epca_fit,
     fit_classical_pca,
     fit_pca_om,
+    grid_search_sigma,
     mean_clustering_accuracy,
     reconstruct,
     reconstruction_error,
+    run_experiment,
     top_eigenpairs,
     transform,
 )
@@ -258,6 +260,30 @@ def test_bad_scalar_argument_is_named(case):
         call(X)
 
 
+_BAD_OBJECT_CALLS = {
+    "corrupt-spec": ("spec must be a CorruptionSpec, got None", lambda X: corrupt(X, None)),
+    "accuracy-rng": ("rng must be an RngHandle, got None", lambda X: mean_clustering_accuracy(
+        X[:2], LabelVector(np.arange(20) % 2, 2), 2, None)),
+    "transform-model": ("model must be a SubspaceModel, got None", lambda X: transform(None, X)),
+    "reconstruct-model": ("model must be a SubspaceModel, got None",
+                          lambda X: reconstruct(None, X[:2])),
+    "run_experiment-cfg": (r"cfg must be an ExperimentConfig, got \{\}",
+                           lambda X: run_experiment({})),
+    "grid_search_sigma-cfg": ("cfg must be an ExperimentConfig, got None",
+                              lambda X: grid_search_sigma(None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OBJECT_CALLS))
+def test_bad_object_argument_is_named(case):
+    # An argument of the wrong type is a ValidationError that names it, not
+    # the raw AttributeError of reading a field it does not have.
+    message, call = _BAD_OBJECT_CALLS[case]
+    X = np.random.default_rng(15).standard_normal((5, 20))
+    with pytest.raises(ValidationError, match=message):
+        call(X)
+
+
 def _model_arrays(model):
     return model.basis, model.translation, model.coordinates, model.objective_trace
 
@@ -388,20 +414,22 @@ def _gram_and_dense_fits(X, c, monkeypatch):
 
 
 def test_gram_route_fit_with_outlier_columns_matches_the_dense_fit(monkeypatch):
-    # Every basis step after the first starts from the previous basis and
-    # converges without the direct eigensolve (numpy's full eigh at n = 60),
-    # which runs once per fit, for the first step.
+    # The Gram's order, 100, lies above _SMALL_GRAM: the first basis step
+    # runs the filtered iteration from a range-finder block, every later
+    # one from the previous coordinates, and each converges without the
+    # subset eigh.
     rng = np.random.default_rng(24)
-    d, n, c = 300, 60, 5
+    d, n, c = 300, 100, 5
+    assert n > epca.core._SMALL_GRAM
     X = _noisy_low_rank(rng, d=d, n=n, c=c).values
-    X[:, :6] = 10.0 * rng.standard_normal((d, 6))  # 10% outlier columns
+    X[:, :10] = rng.standard_normal((d, 10))  # 10% outlier columns
     direct, direct_calls = epca.core._direct_eigenpairs, []
     with monkeypatch.context() as m:
         m.setattr(epca.core, "_direct_eigenpairs",
                   lambda G, c: direct_calls.append(G.shape) or direct(G, c))
         routed, dense = _gram_and_dense_fits(X, c, monkeypatch)
-    assert direct_calls == [(n, n)]
-    assert routed.iterations == dense.iterations > 1
+    assert direct_calls == []
+    assert routed.iterations == dense.iterations > 10
     np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
     W, W_dense = routed.model.basis, dense.model.basis
     assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-12
@@ -470,20 +498,51 @@ def test_failed_n_space_repair_takes_the_d_space_step(monkeypatch):
     assert np.all(np.diff(trace) <= 4 * np.finfo(float).eps * trace[:-1])
 
 
-def test_warm_eigensolve_is_dropped_once_it_gives_up(monkeypatch):
-    # Rank-10 data fitted at c = 5: the gap at c is narrow, the warm
-    # iteration from the previous basis gives up on the first basis step,
-    # and every later step goes straight to the direct eigh.
-    rng = np.random.default_rng(1)
-    B = np.linalg.qr(rng.standard_normal((200, 10)))[0]
-    X = 5.0 + B @ (3.0 * rng.standard_normal((10, 60))) + 0.05 * rng.standard_normal((200, 60))
-    X[:, :6] += rng.standard_normal((200, 6))
+def test_every_later_step_starts_from_the_previous_coordinates(monkeypatch):
+    # Rank-10 data fitted at c = 5, at a Gram order above _SMALL_GRAM: the
+    # gap at c is narrow.  The first basis step, from a range-finder block,
+    # and the second, from the first step's coordinates, give up for the
+    # subset eigh; a give-up does not drop the start block, and every later
+    # step converges from its previous coordinates.
+    n = 120
+    assert n > epca.core._SMALL_GRAM
+    X = _planted_wide(1, d=300, n=n, c=10)
+    solve, starts = epca.solver._gram_eigenpairs, []
+    monkeypatch.setattr(epca.solver, "_gram_eigenpairs", lambda G, c, w, d, start=None: (
+        starts.append(start is not None) or solve(G, c, w, d, start)))
     iteration, results = epca.core._subspace_iteration, []
     monkeypatch.setattr(epca.core, "_subspace_iteration",
                         lambda *args: results.append(iteration(*args)) or results[-1])
-    state = epca_fit(X, 5, SigmaLossParams(1.0))
-    assert state.iterations > 10
-    assert results == [None]
+    routed, dense = _gram_and_dense_fits(X, 5, monkeypatch)
+    assert starts == [False] + [True] * routed.iterations
+    assert [result is None for result in results] == [True, True] + [False] * (len(results) - 2)
+    assert routed.iterations == dense.iterations > 10
+    np.testing.assert_array_equal(routed.active_count_trace, dense.active_count_trace)
+    W, W_dense = routed.model.basis, dense.model.basis
+    assert np.linalg.norm(W @ W.T - W_dense @ W_dense.T, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("fit, known", [
+    (lambda X, c: epca_fit(X, c, SigmaLossParams(1.0)), set()),
+    (lambda X, c: epca_fit(X, c, SigmaLossParams(1e-8)), {16, 32, 44, 85, 193}),
+    (fit_pca_om, {32, 44, 85}),
+], ids=["epca_fit-sigma-1", "epca_fit-sigma-1e-8", "fit_pca_om"])
+def test_wide_outlier_sweep_raises_on_no_new_seed(fit, known):
+    # The seeds of the wide outlier sweep whose fits raise "objective rose"
+    # at one BLAS thread (ROADMAP item 3, pinned samples); a change to the
+    # basis step may mend some of them but must add none.
+    raised, wide = set(), 0
+    for seed in range(200):
+        X, c = sweep_problem(seed)
+        if not epca.core.gram_route(*X.shape, c):
+            continue
+        wide += 1
+        try:
+            fit(X, c)
+        except InternalInvariantError:
+            raised.add(seed)
+    assert wide == 197
+    assert raised <= known
 
 
 def _planted_wide(seed, d=200, n=50, c=4, drag=0.0):

@@ -222,9 +222,12 @@ def fit_method(method, X, rank, sigma, tol, max_iter):
     """Fit one of ``KNOWN_METHODS``; returns (model, iterations, active_count_trace).
 
     ``sigma`` is used by the ``SIGMA_METHODS`` only, and ``tol``/``max_iter``
-    by the two iterative fits.  The fits are looked up as module globals at call time,
-    so a wrapper installed on ``epca.harness.<fit>`` sees every call.
+    by the two iterative fits, but both are checked for every method.  The fits
+    are looked up as module globals at call time, so a wrapper installed on
+    ``epca.harness.<fit>`` sees every call.
     """
+    check_tol(tol)
+    max_iter = as_count(max_iter, "max_iter")
     if method == "classical_pca":
         model, k_trace = fit_classical_pca(X, rank), []
     elif method == "pca_om":
@@ -339,10 +342,15 @@ def grid_search_sigma(cfg: ExperimentConfig):
     seed's error message (such rows are excluded from the argmin), and
     ``on_boundary`` is whether the coarse winner sat at an end.  When every
     coarse point fails, a ``ValidationError`` names the first one's failure
-    and carries the coarse curve as its ``curve`` attribute.
+    and carries the coarse curve as its ``curve`` attribute.  ``cfg.methods``
+    must hold one of the ``SIGMA_METHODS``; a config without one is a
+    ``ValidationError`` before any file is read.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ValidationError(f"cfg must be an ExperimentConfig, got {cfg!r}")
+    if not set(cfg.methods) & set(SIGMA_METHODS):
+        raise ValidationError(
+            f"methods {cfg.methods} hold no method that reads sigma; need one of {SIGMA_METHODS}")
     rank = cfg.ranks[0]
     X, _, occluded = _occluded_inputs(cfg, [rank])
 

@@ -22,7 +22,9 @@ On tall data every basis step works on the d-by-n data.  On wide data
 the weights eta / sum(eta), the centred n-by-n Gram, the basis as an n-by-c
 coefficient block on the centred data, and the coordinates and residual
 norms read from the Gram.  The basis is mapped to d-space once, at the end
-(see ``_GramSteps``); only a step whose Gram yields no basis runs in d-space.
+(see ``_GramSteps``); only a step whose Gram yields no basis runs in d-space,
+from one thin SVD of the weighted d-by-n data, so a wide fit never forms a
+d-by-d matrix.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DataMatrix, _gram_eigenpairs, _mapped_basis, _orthonormal, as_count,
-                   check_rank, check_tol, gram_route, real_array, top_eigenpairs)
+from .core import (DataMatrix, _apply_gauge, _gram_eigenpairs, _mapped_basis, _orthonormal,
+                   as_count, check_rank, check_tol, gram_route, real_array, top_eigenpairs)
 from .corobust import WeightVector, solve_weights
 from .errors import DimensionError, ValidationError
 from .sigmaloss import SigmaLossParams, coefficient_kernel, descent_converged, loss_kernel
@@ -209,8 +211,9 @@ class _GramSteps(_ScatterSteps):
     lambda_c, so when ``V B`` misses the identity by more than 1e-12, ``B``
     and ``V`` become ``B L^-T`` and ``L^-1 V``, with ``L L' = V B``
     (Cholesky): an orthonormal basis of the same span.  A Gram that is not
-    finite, has no gap at c or fails that Cholesky runs the d-space step of
-    :class:`_ScatterSteps`.
+    finite, has no gap at c or fails that Cholesky gives no basis; that step
+    runs in d-space, from the thin SVD of ``Xc sqrt(eta)`` (see
+    :meth:`_scatter_step`).
     """
 
     def __init__(self, X, c):
@@ -246,6 +249,21 @@ class _GramSteps(_ScatterSteps):
         if not self._gram_step(G, bound, eta, self.V - (self.V @ beta)[:, None]):
             self._scatter_step(self.X @ beta, eta)
         return self.rn
+
+    def _scatter_step(self, m, eta):
+        """The step of a Gram with no basis: ``W`` from one thin SVD of
+        ``Xc sqrt(eta)``, at O(d n^2).  Its error scales with sigma_1 =
+        sqrt(lambda_1), where an eigh of the Gram or the scatter errs by eps
+        lambda_1, above the gap at c once a sample is pinned."""
+        np.subtract(self.X, m[:, None], out=self.Xc)
+        B = np.multiply(self.Xc, np.sqrt(eta), out=self.T)
+        if not np.all(np.isfinite(B)):
+            raise ValidationError("matrix entries must be finite")
+        U, S, _ = np.linalg.svd(B, full_matrices=False)
+        # Gauged over all n columns, as the dense route gauges all d.
+        self.W = _apply_gauge(S * S, U)[1][:, :self.c]
+        self.m, self.V = m, self.W.T @ self.Xc
+        self.rn = _residual_norms(self.Xc, self.W, self.V, self.T)
 
     def _gram_step(self, G, bound, eta, start):
         """The step on the centred Gram ``G``; False when it has no basis."""

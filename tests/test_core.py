@@ -39,6 +39,10 @@ class TestDataMatrix:
         with pytest.raises(DimensionError):
             DataMatrix(np.ones((3, 1)))
 
+    def test_rejects_a_matrix_without_feature_rows(self):
+        with pytest.raises(DimensionError, match="need at least one feature row"):
+            DataMatrix(np.zeros((0, 5)))
+
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionError):
             DataMatrix(np.ones(5))
@@ -92,6 +96,10 @@ class TestRngHandle:
             with pytest.raises(ValidationError, match="derivation key must be an integer"):
                 RngHandle(1).derive(bad)
         assert RngHandle(np.uint64(7)).derive(np.int64(3)) == RngHandle(7).derive(3)
+
+    def test_path_must_be_a_tuple(self):
+        with pytest.raises(ValidationError, match=r"path must be a tuple .*, got \[1, 2\]"):
+            RngHandle(1, [1, 2])
 
     def test_path_words_are_checked_like_derivation_keys(self):
         # A word of 2**32 or more would be split into two 32-bit entropy

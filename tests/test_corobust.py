@@ -208,6 +208,10 @@ class TestWeightVectorInvariants:
         with pytest.raises(ValidationError, match="complements entries must be finite"):
             WeightVector(np.array([0.5, 0.5, 0.0]), 2, 1.0, np.array([0.5, np.nan, 1.0]))
 
+    def test_rejects_fewer_than_two_weights(self):
+        with pytest.raises(DimensionError, match="length >= 2"):
+            WeightVector([1.0], 1, 0.0, [0.0])
+
     def test_rejects_complements_of_another_shape(self):
         with pytest.raises(DimensionError):
             WeightVector(np.array([0.5, 0.5, 0.0]), 2, 1.0, np.ones(2))

@@ -353,6 +353,10 @@ class TestLabelVector:
         assert lv.class_count == 3
         np.testing.assert_array_equal(lv.labels, [2, 0, 2, 1])
 
+    def test_rejects_labels_that_are_not_a_vector(self):
+        with pytest.raises(DimensionError, match="labels must be a 1-D vector"):
+            LabelVector(np.zeros((2, 2), int), 2)
+
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValidationError):
             LabelVector(np.array([0, 3]), 2)

@@ -461,7 +461,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("driver", [run_experiment, grid_search_sigma],
                              ids=["run_experiment", "grid_search_sigma"])
     def test_out_of_range_rank_is_rejected_up_front(self, tmp_path, driver):
-        cfg = _config(_data_csv(tmp_path), ranks=[5])  # d == 5, need rank < d
+        # d == 5, need rank < d
+        cfg = _config(_data_csv(tmp_path), methods=["epca"], ranks=[5])
         with pytest.raises(DimensionError, match=r"need 1 <= c <= 4, got c=5"):
             driver(cfg)
 
@@ -498,6 +499,12 @@ class TestGridSearchSigma:
         assert len(curve) == 1
         assert on_boundary
         assert "boundary" in caplog.text
+
+    @pytest.mark.parametrize("methods", [["classical_pca"], ["classical_pca", "pca_om"]])
+    def test_methods_without_a_sigma_method_are_rejected_before_reading(self, methods):
+        cfg = _config("missing.csv", methods=methods)
+        with pytest.raises(ValidationError, match=r"methods \[.*\] hold no method that reads"):
+            grid_search_sigma(cfg)
 
     def test_failed_grid_points_are_reported_not_fatal(self, tmp_path):
         cfg = _config(_data_csv(tmp_path), methods=["epca"],
@@ -761,6 +768,13 @@ class TestCli:
         assert payload["config"]["ranks"] == [2]  # flag wins
         assert payload["config"]["methods"] == ["classical_pca"]
         assert payload["config"]["corruption"]["sample_fraction"] == 0.0
+
+    def test_an_out_path_in_a_missing_directory_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "model.json"
+        code = cli.main(["fit", "--input", str(_data_csv(tmp_path)), "--rank", "2",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
     def test_run_without_input_fails_cleanly(self, capsys):
         code = cli.main(["run", "--rank", "1"])

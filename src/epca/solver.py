@@ -260,8 +260,13 @@ class _GramSteps(_ScatterSteps):
         if not np.all(np.isfinite(B)):
             raise ValidationError("matrix entries must be finite")
         U, S, _ = np.linalg.svd(B, full_matrices=False)
+        # The scatter's top eigenvalue S[0]**2 bounds every squared residual
+        # norm, so it must be finite too.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(S[0] * S[0]):
+                raise ValidationError("matrix entries must be finite")
         # Gauged over all n columns, as the dense route gauges all d.
-        self.W = _apply_gauge(S * S, U)[1][:, :self.c]
+        self.W = _apply_gauge(S, U)[1][:, :self.c]
         self.m, self.V = m, self.W.T @ self.Xc
         self.rn = _residual_norms(self.Xc, self.W, self.V, self.T)
 

@@ -206,7 +206,14 @@ class TestFit:
         with pytest.raises(ValidationError):
             epca_fit(X, 2, SigmaLossParams(1.0))
 
-    def test_wide_data_whose_gram_overflows_names_the_cause(self):
+    def test_wide_data_whose_gram_overflows_names_the_cause(self, monkeypatch):
+        # The Gram and the scatter's top eigenvalue overflow while the data
+        # stay finite; the first basis step names the cause, before any
+        # step at the coefficients can meet an infinite objective.
+        def refuse(*args):
+            raise AssertionError("the fit took a step past its first")
+
+        monkeypatch.setattr(epca.solver._GramSteps, "step", refuse)
         X = 1e160 * np.random.default_rng(3).standard_normal((40, 12))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="matrix entries must be finite"):
@@ -409,11 +416,12 @@ def test_wide_data_gram_route_matches_the_dense_eigensolve(fit, monkeypatch):
 def _gram_and_dense_fits(X, c, monkeypatch):
     """The fit on the Gram route (a fall-through fails the test) and the
     fit on the dense route."""
-    def refuse(S, c):
-        raise AssertionError("the Gram route fell through to the dense eigensolve")
+    def refuse(*args):
+        raise AssertionError("the Gram route fell through to a d-space step")
 
     with monkeypatch.context() as m:
         m.setattr(epca.core, "_dense_top_eigenpairs", refuse)
+        m.setattr(epca.solver._GramSteps, "_scatter_step", refuse)
         routed = epca_fit(X, c, SigmaLossParams(1.0))
     with monkeypatch.context() as m:
         _use_the_dense_route(m)

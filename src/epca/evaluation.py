@@ -256,11 +256,54 @@ def _first_min(D):
     return (k - 1) - np.max(at_min * descending, axis=1).astype(np.intp)
 
 
-def clustering_accuracy(predicted, truth: LabelVector) -> float:
-    """Best label-agreement fraction over one-to-one cluster/class mappings."""
-    # At module level it would slow the start-up of every process that scores no clusters.
-    from scipy.optimize import linear_sum_assignment
+def _max_assignment(weights):
+    """Largest sum of ``weights[i][p[i]]`` over the permutations ``p`` of a
+    square integer matrix given as a list of rows.
 
+    The Hungarian method (Kuhn, 1955) in the potentials form of Jonker and
+    Volgenant (1987), on the costs ``-weights``.  Each column's potential
+    starts at its reduction, and the column goes to its first best row if
+    that row is free; each row left over then adds one shortest augmenting
+    path.  Every step adds and compares integers, so the sum is exact.
+    """
+    k = len(weights)
+    columns = list(zip(*weights))
+    # Column k is the start of each path, owned by the row being added.
+    u, v = [0] * k, [-max(col) for col in columns] + [0]
+    owner = [-1] * (k + 1)
+    for j, col in enumerate(columns):
+        i = col.index(-v[j])
+        if i not in owner:
+            owner[j] = i
+    inf = float("inf")
+    for i in [i for i in range(k) if i not in owner]:
+        owner[k], col = i, k
+        slack, way = [inf] * k, [k] * k
+        free, visited = list(range(k)), [k]
+        while owner[col] >= 0:
+            row, base, best = weights[owner[col]], -u[owner[col]], inf
+            for j in free:
+                cost = base - row[j] - v[j]
+                if cost < slack[j]:
+                    slack[j], way[j] = cost, col
+                if slack[j] < best:
+                    best, col_next = slack[j], j
+            for j in visited:
+                u[owner[j]] += best
+                v[j] -= best
+            for j in free:
+                slack[j] -= best
+            free.remove(col_next)
+            visited.append(col_next)
+            col = col_next
+        while col != k:
+            owner[col], col = owner[way[col]], way[col]
+    return sum(weights[owner[j]][j] for j in range(k))
+
+
+def clustering_accuracy(predicted, truth: LabelVector) -> float:
+    """Best label-agreement fraction over one-to-one cluster/class mappings,
+    found exactly by the Hungarian method on the confusion matrix."""
     if not isinstance(truth, LabelVector):
         raise ValidationError(f"truth must be a LabelVector, got {type(truth).__name__}")
     pred = _whole_numbers(predicted, "predicted labels")
@@ -273,8 +316,7 @@ def clustering_accuracy(predicted, truth: LabelVector) -> float:
     _, pred_ids = np.unique(pred, return_inverse=True)
     k = max(pred_ids.max() + 1, truth.class_count)
     confusion = np.bincount(pred_ids * k + truth.labels, minlength=k * k).reshape(k, k)
-    rows, cols = linear_sum_assignment(-confusion)
-    return float(confusion[rows, cols].sum() / pred.size)
+    return _max_assignment(confusion.tolist()) / pred.size
 
 
 def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
@@ -294,6 +336,10 @@ def mean_clustering_accuracy(V, truth: LabelVector, restarts: int,
         raise ValidationError(f"rng must be an RngHandle, got {rng!r}")
     P = real_array(V, "coordinates", 2)
     k, n = truth.class_count, P.shape[1]
+    if P.shape[0] == 0:
+        raise DimensionError("coordinates need at least one row")
+    if n != truth.labels.size:
+        raise DimensionError(f"coordinates have {n} columns, truth has {truth.labels.size} labels")
     if not (1 <= k <= n):
         raise DimensionError(f"need 1 <= class count <= {n} points, got {k} classes")
     restarts = as_count(restarts, "restarts")

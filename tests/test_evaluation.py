@@ -1,8 +1,11 @@
 """Tests for the benchmark protocol pieces: occlusion corruption,
 reconstruction error against clean data, k-means, and clustering accuracy."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import epca.evaluation
 from epca import (
@@ -17,7 +20,7 @@ from epca import (
     mean_clustering_accuracy,
     reconstruction_error,
 )
-from epca.evaluation import _kmeans_lockstep
+from epca.evaluation import _kmeans_lockstep, _max_assignment
 from oracles import kmeans_oracle
 
 
@@ -235,6 +238,20 @@ class TestKmeans:
         with pytest.raises(DimensionError, match="2-D"):
             mean_clustering_accuracy(np.arange(6.0), truth, restarts=1, rng=RngHandle(0))
 
+    def test_rejects_coordinates_of_another_length_before_any_restart(self, monkeypatch):
+        def no_restart(P, k, gens):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr(epca.evaluation, "_kmeans_lockstep", no_restart)
+        truth = LabelVector(np.array([0, 1, 1]), 2)
+        with pytest.raises(DimensionError, match="coordinates have 5 columns, truth has 3"):
+            mean_clustering_accuracy(np.ones((2, 5)), truth, restarts=3, rng=RngHandle(0))
+
+    def test_rejects_coordinates_with_no_rows(self):
+        truth = LabelVector(np.array([0, 1, 1]), 2)
+        with pytest.raises(DimensionError, match="coordinates need at least one row"):
+            mean_clustering_accuracy(np.ones((0, 3)), truth, restarts=3, rng=RngHandle(0))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_lloyd_run_matches_the_reference(self, seed):
         rng = np.random.default_rng(seed)
@@ -322,6 +339,11 @@ class TestClusteringAccuracy:
             perm_p[pred], LabelVector.from_raw(perm_t[truth_raw])
         ) == pytest.approx(base, abs=1e-15)
 
+    def test_more_predicted_ids_than_classes(self):
+        # Four clusters on two classes: the two largest matches count.
+        truth = LabelVector(np.array([0, 0, 0, 1, 1, 1, 1]), 2)
+        assert clustering_accuracy([5, 5, 7, 9, 9, 9, 2], truth) == 5 / 7
+
     def test_rejects_length_mismatch(self):
         truth = LabelVector(np.array([0, 1]), 2)
         with pytest.raises(DimensionError):
@@ -345,6 +367,45 @@ class TestClusteringAccuracy:
     def test_truth_must_be_a_label_vector(self, score):
         with pytest.raises(ValidationError, match="truth must be a LabelVector, got ndarray"):
             score(np.array([0, 1, 1]))
+
+
+def _assignment_cases(seed, count, largest):
+    """``count`` seeded square integer matrices of orders 1 to ``largest`` in
+    turn: random, near-diagonal, all one value (every assignment ties) and
+    all zero, each kind for one round of orders."""
+    gen = np.random.default_rng(seed)
+    for i in range(count):
+        k = 1 + i % largest
+        kind = i // largest % 4
+        if kind == 0:
+            yield gen.integers(0, 60, (k, k))
+        elif kind == 1:
+            yield np.diag(gen.integers(20, 80, k)) + gen.integers(0, 5, (k, k))
+        elif kind == 2:
+            yield np.full((k, k), gen.integers(0, 9))
+        else:
+            yield np.zeros((k, k), dtype=int)
+
+
+class TestMaxAssignment:
+    """The exact assignment solver behind ``clustering_accuracy``."""
+
+    def test_matches_linear_sum_assignment(self):
+        cases = list(_assignment_cases(68, 3000, 15))
+        # Every order has tied cases, and every order above 1 untied ones.
+        assert {(len(w), bool(w.max() == w.min())) for w in cases} == {
+            (k, tie) for k in range(1, 16) for tie in (True, k == 1)}
+        for w in cases:
+            rows, cols = linear_sum_assignment(w, maximize=True)
+            best = _max_assignment(w.tolist())
+            assert type(best) is int
+            assert best == w[rows, cols].sum(), w
+
+    def test_matches_brute_force_up_to_seven(self):
+        for w in map(np.ndarray.tolist, _assignment_cases(69, 7 * 4 * 3, 7)):
+            best = max(sum(row[j] for row, j in zip(w, p))
+                       for p in itertools.permutations(range(len(w))))
+            assert _max_assignment(w) == best, w
 
 
 class TestLabelVector:

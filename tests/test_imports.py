@@ -2,10 +2,10 @@
 module-level private definition is referenced somewhere in the package,
 array arguments are converted by ``core.real_array`` alone, integer
 arguments are checked by the rules in ``core`` alone, every function
-that the benchmark's tracer wraps still exists, and only scoring clusters
-loads ``scipy.optimize``: fits (a wide one whose Gram is large enough for
-the filtered iteration among them) and the CLI steps that score no clusters
-load neither it nor ``scipy.linalg``."""
+that the benchmark's tracer wraps still exists, and no step loads a scipy
+module: fits (a wide one whose Gram is large enough for the filtered
+iteration among them), clustering scores, labelled experiment runs and every
+CLI step load neither ``scipy.optimize`` nor ``scipy.linalg``, nor any other."""
 
 import ast
 import importlib.util
@@ -157,7 +157,7 @@ def test_every_benchmark_trace_target_resolves():
     assert missing == []
 
 
-_NO_SCORING_RUN = """
+_NO_SCIPY_RUN = """
 import sys
 from pathlib import Path
 
@@ -170,6 +170,12 @@ from epca import (CorruptionSpec, DataMatrix, ExperimentConfig, LabelVector, Sig
                   reconstruct, reconstruction_error, run_experiment, transform)
 from epca.core import _SMALL_GRAM, gram_route
 
+
+def no_scipy(step):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, (step, loaded)
+
+
 tmp = Path(sys.argv[1])
 gen = np.random.default_rng(0)
 wide, tall = DataMatrix(gen.normal(size=(40, 12))), DataMatrix(gen.normal(size=(5, 30)))
@@ -181,6 +187,7 @@ for X in (wide, tall):
     reconstruct(model, transform(model, X.values))
     X_occ, _, _ = corrupt(X, CorruptionSpec(0.5, 0.5, seed=1))
     reconstruction_error(X, X_occ, model.basis, model.translation)
+no_scipy("small fits")
 
 # Rank-5 data with 10% outlier columns, whose Gram is too large for the
 # direct eigh: every basis step runs the filtered iteration.
@@ -190,33 +197,43 @@ planted[:, :20] += gen.normal(size=(600, 20))
 assert gram_route(600, 200, 5) and 200 > _SMALL_GRAM
 assert epca_fit(planted, 5, SigmaLossParams(1.0)).iterations > 1
 fit_classical_pca(planted, 5)
+no_scipy("filtered Gram fits")
 
-data, occluded, model = tmp / "data.csv", tmp / "occluded.csv", tmp / "model.json"
+accuracy = clustering_accuracy([1, 1, 0, 0, 0], LabelVector.from_raw([0, 0, 1, 1, 0]))
+assert accuracy == 0.8, accuracy
+no_scipy("clustering_accuracy")
+
+data, labels = tmp / "data.csv", tmp / "labels.csv"
+occluded, model = tmp / "occluded.csv", tmp / "model.json"
 np.savetxt(data, gen.normal(size=(30, 5)), delimiter=",")
-run_experiment(ExperimentConfig(str(data), ["classical_pca", "epca", "pca_om"], [2], [1.0],
-                                CorruptionSpec(0.2, 0.2, seed=0), [0]))
+np.savetxt(labels, np.arange(30) % 3, fmt="%d")
+for labels_path in (None, str(labels)):
+    report = run_experiment(ExperimentConfig(
+        str(data), ["classical_pca", "epca", "pca_om"], [2], [1.0],
+        CorruptionSpec(0.2, 0.2, seed=0), [0], labels_path=labels_path, kmeans_restarts=3))
+    assert all((cell["mean_accuracy"] is None) == (labels_path is None)
+               for cell in report.cells), report.cells
+    no_scipy(f"run_experiment, labels {labels_path}")
 for argv in (["corrupt", "--input", str(data), "--out", str(occluded)],
              ["fit", "--input", str(occluded), "--rank", "2", "--out", str(model)],
              ["grid-sigma", "--input", str(data), "--rank", "2", "--sigma", "0.5",
               "--sigma", "1", "--sigma", "2"],
-             ["eval", "--clean", str(data), "--occluded", str(occluded), "--model", str(model)]):
+             ["eval", "--clean", str(data), "--occluded", str(occluded), "--model", str(model)],
+             ["eval", "--clean", str(data), "--occluded", str(occluded), "--model", str(model),
+              "--labels", str(labels), "--restarts", "3"],
+             ["run", "--input", str(data), "--labels", str(labels), "--rank", "2",
+              "--sigma", "1", "--seed", "0", "--restarts", "3"]):
     assert epca.cli.main(argv) == 0, argv
-assert "scipy.optimize" not in sys.modules
-assert "scipy.linalg" not in sys.modules
-
-accuracy = clustering_accuracy([1, 1, 0, 0, 0], LabelVector.from_raw([0, 0, 1, 1, 0]))
-assert "scipy.optimize" in sys.modules
-assert accuracy == 0.8, accuracy
+    no_scipy(argv)
 """
 
 
-def test_only_scoring_clusters_loads_scipy_optimize(tmp_path):
-    # Fitting, corrupting, reconstructing and reconstruction scoring run in a
-    # fresh interpreter, since the test process has loaded scipy.optimize and
-    # scipy.linalg already.
+def test_no_step_loads_scipy(tmp_path):
+    # The steps run in a fresh interpreter, since the test process has loaded
+    # scipy.optimize and scipy.linalg already.
     src = str(Path(epca.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCORING_RUN, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

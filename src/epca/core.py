@@ -6,11 +6,14 @@ subspace method in the package.
 (c < n < d) it reads the top c+1 eigenpairs of the n-by-n Gram of the
 weighted data, at O(d n^2 + n^3) plus O(d n c) for the mapping to
 d-dimensional eigenvectors; a mapped basis that is not orthonormal to 1e-12
-is repaired by one Rayleigh-Ritz step, and the route falls through to a full
-``eigh`` of the d-by-d scatter on an overflow or an eigenvalue tie at the c
-boundary.  The Gram eigensolve itself, ``_gram_eigenpairs``, is shared with
-the alternating fit, which keeps its own Gram and passes a start block (its
-previous coordinates).  The Gram's order alone picks the solver: up to
+is repaired by one Rayleigh-Ritz step, and the route falls through to one
+thin SVD of the weighted d-by-n data (``_svd_top_eigenpairs``, at O(d n^2))
+on an overflow or an eigenvalue tie at the c boundary, so wide data never
+form a d-by-d matrix; only tall or square data, or c >= n, take a full
+``eigh`` of the d-by-d scatter.  The Gram eigensolve itself,
+``_gram_eigenpairs``, and that SVD are shared with the alternating fit,
+which keeps its own Gram and passes a start block (its previous
+coordinates).  The Gram's order alone picks the solver: up to
 ``_SMALL_GRAM`` numpy's full ``eigh``; above it Chebyshev-filtered block
 subspace iteration at O(n^2 c) per product with the Gram, from the start
 block or, without one, from the Gram applied to a fixed Gaussian block, and
@@ -240,9 +243,11 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
     Gram's eigenvectors, so a basis that is not orthonormal to 1e-12 is
     replaced by one Rayleigh-Ritz step on its span (a QR, then an ``eigh`` of
     the c-by-c projected Gram), which is orthonormal by construction.
-    Otherwise, and for tall or square data, the scatter is built and
-    decomposed by a full ``eigh``.  The scatter is ``B @ B.T`` with
-    ``B = A * sqrt(weights)``, which is ``A @ A.T`` for unit weights.
+    Otherwise the eigenpairs come from one thin SVD of ``B = A *
+    sqrt(weights)`` at O(d n^2) (:func:`_svd_top_eigenpairs`): wide data
+    never form a d-by-d matrix.  For tall or square data, or c >= n, the
+    scatter ``B @ B.T`` (``A @ A.T`` for unit weights) is built and
+    decomposed by a full ``eigh``.
 
     The gauge convention makes the output reproducible:
 
@@ -268,9 +273,11 @@ def top_eigenpairs(A: np.ndarray, c: int, weights) -> tuple[np.ndarray, np.ndarr
         pairs = _gram_eigenpairs(A.T @ A, c, w, d)
         if pairs is not None:
             return _mapped_basis(A, *pairs, np.sqrt(w))
-    # A non-finite Gram or a tie at the boundary falls through to the
-    # scatter, whose finiteness check reports an overflow.  numpy forms
-    # B @ B.T by a symmetric rank-k update: an exactly symmetric scatter.
+        # A non-finite Gram or a tie at the boundary falls through to the
+        # thin SVD, whose finiteness checks report an overflow.
+        return _svd_top_eigenpairs(A * np.sqrt(w), c)
+    # numpy forms B @ B.T by a symmetric rank-k update: an exactly
+    # symmetric scatter.
     B = A * np.sqrt(w)
     return _dense_top_eigenpairs(B @ B.T, c)
 
@@ -421,6 +428,23 @@ def _dense_top_eigenpairs(S, c):
     evals, evecs = np.linalg.eigh(S)
     evals, evecs = _apply_gauge(evals[::-1], evecs[:, ::-1])
     return evals[:c].copy(), evecs[:, :c].copy()
+
+
+def _svd_top_eigenpairs(B, c):
+    """Top-c eigenpairs of the scatter ``B @ B.T`` of the d-by-n matrix ``B``
+    (n < d), from one thin SVD of ``B`` at O(d n^2), gauged over all n
+    columns as the dense route gauges all d.  Its error scales with sigma_1 =
+    sqrt(lambda_1), where an eigh of the Gram or of the scatter errs by eps
+    lambda_1."""
+    if not np.all(np.isfinite(B)):
+        raise ValidationError("matrix entries must be finite")
+    U, S, _ = np.linalg.svd(B, full_matrices=False)
+    # The top eigenvalue S[0]**2 bounds every squared residual norm.
+    with np.errstate(over="ignore"):
+        evals = S[:c] * S[:c]
+    if not np.isfinite(evals[0]):
+        raise ValidationError("matrix entries must be finite")
+    return evals, _apply_gauge(S, U)[1][:, :c].copy()
 
 
 def _apply_gauge(evals, evecs):

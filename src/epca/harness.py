@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import fit_classical_pca, fit_pca_om
-from .core import DataMatrix, RngHandle, as_count, as_seed, check_rank, check_tol, is_real
+from .core import (DataMatrix, RngHandle, as_count, as_seed, check_rank, check_tol, is_real,
+                   real_array)
 from .errors import IngestionError, InternalInvariantError, ValidationError
 from .evaluation import (CorruptionSpec, LabelVector, _whole_numbers, corrupt,
                          mean_clustering_accuracy, reconstruction_error)
@@ -178,10 +179,12 @@ def ingest_csv(path, labels_path=None):
     """Load a numeric CSV (rows = samples) and an optional label column.
 
     A non-numeric first row is treated as a header and skipped with a log
-    notice.  The labels file holds one cell per row.  Parsing failures carry
-    the 1-based row/column location as it appears in the file; a file that
-    is not UTF-8 text or that the ``csv`` module cannot read names the file.
-    Both are ``IngestionError``.  Returns
+    notice.  The labels file holds one cell per row.  A cell that does not
+    parse, or a data cell that is not a finite number (``nan``, ``inf``, or
+    beyond the float range like ``1e999``), is reported with its 1-based
+    row/column location as it appears in the file; a file that is not UTF-8
+    text or that the ``csv`` module cannot read names the file.  Both are
+    ``IngestionError``.  Returns
     ``(DataMatrix, LabelVector | None)``; the matrix is transposed into the
     internal columns-are-samples convention.  Each path must be a str or
     ``os.PathLike`` (``labels_path`` may be None); anything else is a
@@ -197,8 +200,8 @@ def ingest_csv(path, labels_path=None):
         rows.append((row_num, row))
     if not rows:
         raise IngestionError(f"{path}: no numeric data rows")
-    X = DataMatrix(_parse(rows, lambda cells: np.array(cells, dtype=float),
-                          "row {row}, column {col}: could not parse {cell!r} as a number").T)
+    X = DataMatrix(_parse(rows, lambda cells: real_array(np.array(cells, dtype=float), "data", 2),
+                          "row {row}, column {col}: {cell!r} is not a finite number").T)
 
     labels = None
     if labels_path is not None:

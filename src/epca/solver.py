@@ -23,8 +23,9 @@ the weights eta / sum(eta), the centred n-by-n Gram, the basis as an n-by-c
 coefficient block on the centred data, and the coordinates and residual
 norms read from the Gram.  The basis is mapped to d-space once, at the end
 (see ``_GramSteps``); only a step whose Gram yields no basis runs in d-space,
-from one thin SVD of the weighted d-by-n data, so a wide fit never forms a
-d-by-d matrix.
+from one thin SVD of the weighted d-by-n data (the fall-back of
+``top_eigenpairs`` on wide data too), so a wide fit never forms a d-by-d
+matrix.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DataMatrix, _apply_gauge, _gram_eigenpairs, _mapped_basis, _orthonormal,
-                   as_count, check_rank, check_tol, gram_route, real_array, top_eigenpairs)
+from .core import (DataMatrix, _gram_eigenpairs, _mapped_basis, _orthonormal,
+                   _svd_top_eigenpairs, as_count, check_rank, check_tol, gram_route, real_array,
+                   top_eigenpairs)
 from .corobust import WeightVector, solve_weights
 from .errors import DimensionError, ValidationError
 from .sigmaloss import SigmaLossParams, coefficient_kernel, descent_converged, loss_kernel
@@ -212,8 +214,8 @@ class _GramSteps(_ScatterSteps):
     and ``V`` become ``B L^-T`` and ``L^-1 V``, with ``L L' = V B``
     (Cholesky): an orthonormal basis of the same span.  A Gram that is not
     finite, has no gap at c or fails that Cholesky gives no basis; that step
-    runs in d-space, from the thin SVD of ``Xc sqrt(eta)`` (see
-    :meth:`_scatter_step`).
+    runs in d-space, from the thin SVD of ``Xc sqrt(eta)`` by the solver
+    ``top_eigenpairs`` shares (see :meth:`_scatter_step`).
     """
 
     def __init__(self, X, c):
@@ -251,22 +253,13 @@ class _GramSteps(_ScatterSteps):
         return self.rn
 
     def _scatter_step(self, m, eta):
-        """The step of a Gram with no basis: ``W`` from one thin SVD of
-        ``Xc sqrt(eta)``, at O(d n^2).  Its error scales with sigma_1 =
-        sqrt(lambda_1), where an eigh of the Gram or the scatter errs by eps
-        lambda_1, above the gap at c once a sample is pinned."""
+        """The step of a Gram with no basis: ``W`` from the thin SVD of
+        ``Xc sqrt(eta)`` that ``top_eigenpairs`` falls through to on wide
+        data, called directly, as ``top_eigenpairs`` would solve the Gram a
+        second time."""
         np.subtract(self.X, m[:, None], out=self.Xc)
         B = np.multiply(self.Xc, np.sqrt(eta), out=self.T)
-        if not np.all(np.isfinite(B)):
-            raise ValidationError("matrix entries must be finite")
-        U, S, _ = np.linalg.svd(B, full_matrices=False)
-        # The scatter's top eigenvalue S[0]**2 bounds every squared residual
-        # norm, so it must be finite too.
-        with np.errstate(over="ignore"):
-            if not np.isfinite(S[0] * S[0]):
-                raise ValidationError("matrix entries must be finite")
-        # Gauged over all n columns, as the dense route gauges all d.
-        self.W = _apply_gauge(S, U)[1][:, :self.c]
+        _, self.W = _svd_top_eigenpairs(B, self.c)
         self.m, self.V = m, self.W.T @ self.Xc
         self.rn = _residual_norms(self.Xc, self.W, self.V, self.T)
 

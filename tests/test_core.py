@@ -16,7 +16,7 @@ from epca import (
 )
 import epca.core
 import epca.solver
-from epca.core import _apply_gauge, _dense_top_eigenpairs, _gram_eigenpairs
+from epca.core import _apply_gauge, _dense_top_eigenpairs, _gram_eigenpairs, _svd_top_eigenpairs
 from oracles import gauge_oracle
 
 
@@ -190,7 +190,8 @@ def _dense_weighted(A, c, w):
 
 
 class TestTopEigenpairsWeighted:
-    """The weighted-scatter form: the n-by-n Gram when c < n < d, dense otherwise."""
+    """The weighted-scatter form: the n-by-n Gram when c < n < d (the thin SVD of
+    the weighted data when the Gram has no basis), dense otherwise."""
 
     @staticmethod
     def _wide(seed, d=40, n=15):
@@ -200,9 +201,10 @@ class TestTopEigenpairsWeighted:
     @staticmethod
     def _no_dense_route(monkeypatch):
         def refuse(S, c):
-            raise AssertionError("the Gram route fell through to the dense eigensolve")
+            raise AssertionError("the Gram route fell through to a d-space eigensolve")
 
         monkeypatch.setattr(epca.core, "_dense_top_eigenpairs", refuse)
+        monkeypatch.setattr(epca.core, "_svd_top_eigenpairs", refuse)
 
     def test_gram_route_matches_dense_projector(self, monkeypatch):
         for seed in range(10):
@@ -271,8 +273,8 @@ class TestTopEigenpairsWeighted:
             assert np.max(np.abs(vecs @ vecs.T - ref_vecs @ ref_vecs.T)) <= dense_bound
 
     def test_gram_overflow_reports_non_finite_entries(self):
-        # A is finite, but A.T @ A overflows; the dense scatter
-        # overflows too, and its finiteness check names the cause.
+        # A is finite, but A.T @ A overflows; the thin SVD's top eigenvalue
+        # S[0]**2 overflows too, and its finiteness check names the cause.
         A, w = self._wide(9)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="matrix entries must be finite"):
@@ -312,17 +314,22 @@ class TestTopEigenpairsWeighted:
         (S,) = scatters
         assert np.array_equal(S, S.T)
 
-    def test_tie_across_the_boundary_is_dense(self):
+    def test_tie_across_the_boundary_takes_the_thin_svd(self):
         rng = np.random.default_rng(8)
         w = rng.uniform(0.1, 3.0, 6)
         # Duplicated columns, and exact rank-2 data: c above the rank puts
-        # the boundary inside the zero eigenvalues.
+        # the boundary inside the zero eigenvalues.  The rank part spans the
+        # dense route's subspace; the zero eigenvalues differ by rounding
+        # (about 1e-30 from the SVD, 3.2e-15 and 8.6e-14 from the dense eigh).
         base = rng.standard_normal((10, 3))
         duplicated = np.hstack([base, base])
         rank2 = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
-        for A, c in ((duplicated, 4), (rank2, 3)):
-            for got, ref in zip(top_eigenpairs(A, c, w), _dense_weighted(A, c, w)):
+        for A, c, rank in ((duplicated, 4, 3), (rank2, 3, 2)):
+            vals, vecs = top_eigenpairs(A, c, w)
+            for got, ref in zip((vals, vecs), _svd_top_eigenpairs(A * np.sqrt(w), c)):
                 np.testing.assert_array_equal(got, ref)
+            U = _dense_weighted(A, c, w)[1][:, :rank]
+            assert np.max(np.abs(vecs[:, :rank] @ vecs[:, :rank].T - U @ U.T)) <= 1e-12
         # Orthogonal columns of equal weighted norm: an exact tie at every c,
         # ordered by the tie gauge.
         tied, w4 = np.eye(10, 6), np.full(6, 4.0)

@@ -122,10 +122,11 @@ class TestIngestCsv:
         with pytest.raises(IngestionError, match="row 3"):
             ingest_csv(path)
 
-    def test_bad_cell_reports_row_and_column(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["oops", "nan", "inf", "-inf", "1e999"])
+    def test_bad_cell_reports_row_and_column(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
-        path.write_text("1,2\n3,oops\n")
-        with pytest.raises(IngestionError, match="row 2, column 2"):
+        path.write_text(f"1,2\n3,{cell}\n")
+        with pytest.raises(IngestionError, match=f"row 2, column 2: '{cell}' is not a finite number"):
             ingest_csv(path)
 
     def test_header_only_file_is_rejected(self, tmp_path):

@@ -611,14 +611,18 @@ def test_sweep_fits_that_pin_a_sample_descend_at_two_blas_threads():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("fit", [
-    lambda X: epca_fit(X, 5, SigmaLossParams(1.0)).model,
-    lambda X: fit_pca_om(X, 5),
-], ids=["epca_fit", "fit_pca_om"])
-def test_wide_fit_above_the_rank_forms_no_d_by_d_matrix(fit, monkeypatch):
+@pytest.mark.parametrize("fit, iterative", [
+    (lambda X: epca_fit(X, 5, SigmaLossParams(1.0)).model, True),
+    (lambda X: fit_pca_om(X, 5), True),
+    (lambda X: fit_classical_pca(X, 5), False),
+    (lambda X: top_eigenpairs(X.values - X.values.mean(axis=1)[:, None], 5, np.ones(30)), False),
+], ids=["epca_fit", "fit_pca_om", "fit_classical_pca", "top_eigenpairs"])
+def test_wide_fit_above_the_rank_forms_no_d_by_d_matrix(fit, iterative, monkeypatch):
     # Exact rank-3 data fitted at c = 5: the Gram has no gap at c, so every
-    # basis step takes the thin SVD of the weighted data, and none reaches
-    # top_eigenpairs or the eigh of the d-by-d scatter.
+    # basis step takes the thin SVD of the weighted data and none reaches
+    # the eigh of the d-by-d scatter.  The iterative fits take it in their
+    # own d-space step and never call top_eigenpairs; classical PCA and
+    # top_eigenpairs itself take it in top_eigenpairs.
     X, _ = _affine_rank_c(np.random.default_rng(901), d=80, n=30)
     calls = []
     for module, name in ((epca.solver, "top_eigenpairs"), (epca.core, "_dense_top_eigenpairs")):
@@ -626,9 +630,12 @@ def test_wide_fit_above_the_rank_forms_no_d_by_d_matrix(fit, monkeypatch):
         monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original: (
             calls.append(_name) or _original(*args)))
     steps = _count_d_space_steps(monkeypatch)
-    trace = fit(X).objective_trace
+    result = fit(X)
+    if not iterative:
+        assert "_dense_top_eigenpairs" not in calls
+        return
     assert calls == []
-    assert len(steps) == len(trace) > 1
+    assert len(steps) == len(result.objective_trace) > 1
 
 
 def _planted_wide(seed, d=200, n=50, c=4, drag=0.0):

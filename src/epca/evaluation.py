@@ -152,15 +152,15 @@ def reconstruction_error(X_clean: DataMatrix, X_occ: DataMatrix, basis,
     return float(np.sum(diff * diff))
 
 
-def _kmeans_pp(P, k, gens, work):
+def _kmeans_pp(P, k, gens):
     """k-means++ centres on points P (columns), one set per generator.
 
     Centre j of the run that draws from ``gens[r]`` is ``centers[:, r, j]``.
-    ``work`` is an ``(R, dim, n)`` scratch array.
     """
     dim, n = P.shape
     runs = len(gens)
     centers = np.empty((dim, runs, k))
+    work = np.empty((runs, dim, n))
     nearest = np.empty((runs, n))
     d2 = np.full((runs, n), np.inf)
     for j in range(k):
@@ -187,21 +187,18 @@ def _kmeans_lockstep(P, k, gens):
     The runs advance together; row ``r`` of the returned ``(R, n)`` array
     holds the labels of the run that draws from ``gens[r]``, the same labels
     that run would give alone.  A run stops when its assignment repeats, or
-    after 300 Lloyd steps.
+    after 300 Lloyd steps.  Each step bins every point by (run, cluster)
+    once: one ``bincount`` of the bins gives the cluster counts, and one per
+    coordinate row, weighted by that row, the centre sums.
     """
     dim, n = P.shape
     runs = len(gens)
-    # One buffer holds the seeding's differences, then the Lloyd distances.
-    buf = np.empty(runs * max(dim, k) * n)
     # Centre j of run r is centers[:, r, j], so one GEMM serves every run.
-    centers = _kmeans_pp(P, k, gens, buf[:runs * dim * n].reshape(runs, dim, n))
-
+    centers = _kmeans_pp(P, k, gens)
     sq = np.sum(P * P, axis=0)
-    weights = np.tile(P.ravel(), runs)
-    # Bin (run, row, cluster) of every entry of P, in P's C order, so one
-    # bincount sums each row's clusters in the same order as a per-row one.
-    row_bins = (np.arange(runs * dim) * k).reshape(runs, dim, 1)
-    bins = np.empty(runs * dim * n, dtype=np.intp)
+    # Row i of P once per run, so each row's sums take one bincount.
+    weights = np.tile(P, runs)
+    buf = np.empty(runs * k * n)
     labels = np.full((runs, n), -1)
     active = np.arange(runs)
     for _ in range(300):
@@ -214,8 +211,10 @@ def _kmeans_lockstep(P, k, gens):
         dists += sq
         dists += np.sum(C * C, axis=0)[:, :, None]
         new_labels = _first_min(dists)
-        counts = np.bincount((np.arange(m)[:, None] * k + new_labels).ravel(),
-                             minlength=m * k).reshape(m, k)
+        # Bin (run, cluster) of every point, in P's column order, so each
+        # bin adds its points in ascending order, as a run alone would.
+        bins = np.arange(0, m * k, k)[:, None] + new_labels
+        counts = np.bincount(bins.ravel(), minlength=m * k).reshape(m, k)
         for a in np.flatnonzero(counts.min(axis=1) == 0):
             # Re-seed empty clusters at the point currently worst-served.  The
             # distances come from direct differences: the rounding of the
@@ -227,20 +226,20 @@ def _kmeans_lockstep(P, k, gens):
                     worst = np.argmax(served[run_labels, np.arange(n)])
                     centers[:, active[a], j] = P[:, worst]
                     run_labels[worst] = j
+            bins[a] = a * k + run_labels
             counts[a] = np.bincount(run_labels, minlength=k)
         moving = ~np.all(new_labels == labels[active], axis=1)
-        active, new_labels, counts = active[moving], new_labels[moving], counts[moving]
-        if not active.size:
+        if not moving.any():
             break
         labels[active] = new_labels
-        m = active.size
-        np.add(row_bins[:m], new_labels[:, None, :], out=bins[:m * dim * n].reshape(m, dim, n))
-        sums = np.bincount(bins[:m * dim * n], weights=weights[:m * dim * n],
-                           minlength=m * dim * k)
+        # Runs that stop here get their centres too; no later step reads them.
+        sums = [np.bincount(bins.ravel(), weights=row, minlength=m * k)
+                for row in weights[:, :m * n]]
         # A cluster the re-seed emptied again keeps its centre.
         C = centers[:, active]
-        np.divide(sums.reshape(m, dim, k).transpose(1, 0, 2), counts, out=C, where=counts > 0)
+        np.divide(np.reshape(sums, (dim, m, k)), counts, out=C, where=counts > 0)
         centers[:, active] = C
+        active = active[moving]
     return labels
 
 

@@ -110,7 +110,9 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
     With ``learn_alpha`` the full weighted fit runs (alpha initialized
     uniform at 1/n); without it alpha stays frozen at 0, which is the
     optimal-mean robust-PCA specialization the baselines reuse, and the
-    state's ``alpha`` is None.
+    state's ``alpha`` is None.  Every sum of losses or coefficients goes
+    through :func:`_sigma_terms`, so an overflow raises one
+    ``ValidationError`` at the start or at the step it happens in.
     """
     max_iter = as_count(max_iter, "max_iter")
     check_tol(tol)
@@ -120,24 +122,23 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
 
     steps = (_GramSteps if gram_route(d, n, c) else _ScatterSteps)(X, c)
     rn = steps.rn
-    trace = [float(np.sum(loss_kernel(rn, sigma) / comp))]
+    trace = [_sigma_terms(loss_kernel, rn, sigma, comp)[1]]
     # Rounding moves each residual by a multiple of eps * (|x_i - m| + |m|),
     # so the guard's noise floor is eps times the objective of those norms.
     # The columns of Xc have norms hypot(rn, |v|) because W is orthonormal.
     data_norms = np.hypot(rn, np.linalg.norm(steps.V, axis=0)) + np.linalg.norm(steps.m)
-    scale = float(np.sum(loss_kernel(data_norms, sigma) / comp))
+    scale = _sigma_terms(loss_kernel, data_norms, sigma, comp)[1]
     ks = []
 
     for _ in range(max_iter):
-        rn = steps.step(coefficient_kernel(rn, sigma) / comp)
-        losses = loss_kernel(rn, sigma)
+        rn = steps.step(_sigma_terms(coefficient_kernel, rn, sigma, comp)[0])
 
         if learn_alpha:
-            alpha_wv = solve_weights(losses)
+            alpha_wv = solve_weights(_sigma_terms(loss_kernel, rn, sigma, 1.0)[0])
             comp = alpha_wv.complements
             ks.append(alpha_wv.active_count)
 
-        trace.append(float(np.sum(losses / comp)))
+        trace.append(_sigma_terms(loss_kernel, rn, sigma, comp)[1])
         if descent_converged(trace, tol, scale):
             stop_reason = "tol"
             break
@@ -150,6 +151,22 @@ def _alternate(X, c, sigma, tol, max_iter, learn_alpha):
         active_count_trace=np.array(ks, dtype=int),
         stop_reason=stop_reason,
     )
+
+
+def _sigma_terms(kernel, rn, sigma, comp):
+    """``kernel(rn, sigma) / comp`` and its sum, for the sigma-loss or its
+    IRLS coefficient.  A sum that overflows (or a term that does, or is
+    0/0) raises the ValidationError that names the overflow, and no float
+    warning escapes before it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = kernel(rn, sigma) / comp
+        total = float(np.sum(terms))
+    if not np.isfinite(total):
+        what = "sigma-loss" if kernel is loss_kernel else "IRLS coefficient"
+        raise ValidationError(
+            f"the {what} overflows at sigma={sigma:.3g} and norms up to {np.max(rn):.3g}; "
+            "scale the data and sigma down together")
+    return terms, total
 
 
 class _ScatterSteps:

@@ -288,6 +288,22 @@ class TestKmeans:
         assert len(steps) > 1
         assert 0 < sum(count > 0 for count in reseeds) < len(reseeds)
 
+    def test_runs_with_more_coordinates_than_clusters_match_the_reference(self):
+        # Nine runs on 12-D points with a few far columns, k=4: more
+        # coordinate rows to sum than clusters, and a distance array smaller
+        # than the seeding's differences.  The runs stop after 1 to 6 steps.
+        rng = np.random.default_rng(31)
+        P = rng.standard_normal((12, 40)) * np.where(rng.random(40) < 0.2, 6.0, 1.0)
+        streams = [RngHandle(31).derive("kmeans", r) for r in range(9)]
+        labels = _kmeans_lockstep(P, 4, [s.generator() for s in streams])
+        steps = set()
+        for run, stream in zip(labels, streams):
+            expected, _ = kmeans_oracle(P, 4, stream.generator())
+            assert run.tolist() == expected
+            steps.add(next(t for t in range(1, 300)
+                           if kmeans_oracle(P, 4, stream.generator(), max_iter=t)[0] == expected))
+        assert steps == {1, 2, 4, 6}
+
     def test_runs_that_exhaust_the_distinct_points_match_the_reference(self):
         # Five distinct points in eleven columns and k=7: every run's cdf
         # total reaches 0 before its last two picks, which then come from

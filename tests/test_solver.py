@@ -693,6 +693,46 @@ def test_fit_is_equivariant_under_scaling_data_and_sigma(scale):
     assert np.linalg.norm(W @ W.T - W_unit @ W_unit.T, 2) <= 1e-12
 
 
+def _offset_outlier_problem():
+    """A 6×40 rank-3 matrix around offset 5 with 4 outlier columns."""
+    rng = np.random.default_rng(0)
+    B = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    X = 5.0 + B @ (3.0 * rng.standard_normal((3, 40)))
+    X[:, :4] += 3.0 * rng.standard_normal((6, 4))
+    return X
+
+
+_SIGMA_FITS = {
+    "epca_fit": lambda X, sigma: epca_fit(X, 2, SigmaLossParams(sigma)).model,
+    "fit_pca_om": lambda X, sigma: fit_pca_om(X, 2, sigma=sigma),
+}
+
+
+@pytest.mark.parametrize("fit", sorted(_SIGMA_FITS))
+@pytest.mark.parametrize("scale, sigma, cause", [
+    (1e130, 1e130, "sigma-loss"),
+    (1e140, 1e140, "sigma-loss"),
+    (1.0, 1e300, "IRLS coefficient"),
+])
+def test_an_overflowing_sigma_loss_names_the_cause(fit, scale, sigma, cause):
+    """The loss (1+σ)·r·r overflows past about 1e102 when σ scales with the
+    data, and (r+σ)² past σ = 1e154.  Either fit raises one error that names
+    it, with no overflow warning first (warnings are errors here)."""
+    X = scale * _offset_outlier_problem()
+    with pytest.raises(ValidationError, match=f"the {cause} overflows at sigma="):
+        _SIGMA_FITS[fit](X, sigma)
+
+
+@pytest.mark.parametrize("fit, iterations", [("epca_fit", 14), ("fit_pca_om", 13)])
+def test_fit_scaled_below_the_overflow_keeps_its_iterations(fit, iterations):
+    X = _offset_outlier_problem()
+    unit = _SIGMA_FITS[fit](X, 1.0)
+    scaled = _SIGMA_FITS[fit](1e100 * X, 1e100)
+    assert len(scaled.objective_trace) == len(unit.objective_trace) == iterations + 1
+    W, W_unit = scaled.basis, unit.basis
+    assert np.linalg.norm(W @ W.T - W_unit @ W_unit.T, 2) <= 1e-12
+
+
 class TestTransformReconstruct:
     @pytest.fixture()
     def model(self):
